@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclo import ONE, ZERO, Cyclotomic, cyclo_sum
@@ -85,13 +86,7 @@ def inner_product(f: ClassFunction, h: ClassFunction) -> Cyclotomic:
     """Hermitian inner product (1/|G|) sum_g f(g) conj(h(g)), classwise."""
     if f.classes != h.classes:
         raise GroupMismatch("inner product requires class functions on one group")
-    n = f.group.order
-    total = cyclo_sum(
-        Fraction(size) * fv * hv.conjugate()
-        for size, fv, hv in zip(f.classes.sizes, f.values, h.values)
-        if not (fv.is_zero() or hv.is_zero())
-    )
-    return total * Fraction(1, n)
+    return cyclo_sum(f.values, f.classes.sizes, h.values) * Fraction(1, f.group.order)
 
 
 # -- class multiplication coefficients --------------------------------------
@@ -118,10 +113,11 @@ def class_mult_coeffs(G: FiniteGroup) -> Tuple[Tuple[Tuple[int, ...], ...], ...]
 
     a_min = counts_for(min)
     assert a_min == counts_for(max), "class multiplication depends on representative"
+    sizes = cls.sizes
     for i in range(r):
         for j in range(r):
-            total = sum(a_min[i][j][k] * cls.sizes[k] for k in range(r))
-            assert total == cls.sizes[i] * cls.sizes[j]
+            total = sum(a_min[i][j][k] * sizes[k] for k in range(r))
+            assert total == sizes[i] * sizes[j]
     return tuple(tuple(tuple(row) for row in plane) for plane in a_min)
 
 
@@ -356,6 +352,10 @@ def dixon_character_table(
     rows: List[ClassFunction] = []
     z = _primitive_root_of_unity(p, e)
     inv_e = pow(e, -1, p)
+    z_pow = [pow(z, k, p) for k in range(e)]
+    # dft[t][s] = z^(-s t): the eigenvalue z^t of g has multiplicity
+    # (1/e) sum_s chi(g^s) z^(-s t)
+    dft = [[z_pow[(-s_ * t) % e] for s_ in range(e)] for t in range(e)]
     power_class: List[List[int]] = []
     for j in range(r):
         g = cls.representatives[j]
@@ -376,13 +376,10 @@ def dixon_character_table(
         chi_mod = [(deg * w[j] * inv_sizes[j]) % p for j in range(r)]
         values = []
         for j in range(r):
+            powers = [chi_mod[c] for c in power_class[j]]
             terms: Dict[int, Fraction] = {}
             for t in range(e):
-                acc = sum(
-                    chi_mod[power_class[j][s_]] * pow(z, (-s_ * t) % e, p)
-                    for s_ in range(e)
-                )
-                m_t = (acc * inv_e) % p
+                m_t = (sum(map(mul, powers, dft[t])) * inv_e) % p
                 assert m_t <= deg, "eigenvalue multiplicity exceeds degree"
                 if m_t:
                     terms[t] = Fraction(m_t)
@@ -416,11 +413,10 @@ def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
                 violations.append(
                     {"kind": "row", "i": i, "j": j, "value": str(got)}
                 )
+    columns = [[row.values[gi] for row in rows] for gi in range(len(cls))]
     for gi in range(len(cls)):
         for gj in range(len(cls)):
-            got = cyclo_sum(
-                row.values[gi] * row.values[gj].conjugate() for row in rows
-            )
+            got = cyclo_sum(columns[gi], conj_factors=columns[gj])
             want = (
                 Cyclotomic.rational(Fraction(n, cls.sizes[gi])) if gi == gj else ZERO
             )

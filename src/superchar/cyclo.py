@@ -1,25 +1,34 @@
 """Exact cyclotomic arithmetic.
 
-Values are elements of Q(zeta_e) stored in the canonical basis
-1, z, ..., z^(phi(e)-1) modulo the e-th cyclotomic polynomial, with
-``fractions.Fraction`` coefficients.  On construction every value is
-reduced to the smallest cyclotomic order that contains it, so equality
-and hashing are plain coefficient-vector comparisons and a rational
-number always carries order 1.  There is no floating point anywhere.
+A ``Cyclotomic`` is an element of Q(zeta_e) in canonical form: ``order``
+is the smallest e whose field contains the value (its conductor, 1 for a
+rational number) and ``coeffs`` are its ``Fraction`` coordinates in the
+power basis 1, z, ..., z^(phi(e)-1) modulo the e-th cyclotomic
+polynomial.  Every public value is canonical, so equality and hashing are
+plain comparisons of (order, coeffs).  There is no floating point
+anywhere.
+
+Canonicalization happens once per result, not once per operation.  Every
+operator and every sum of products (``cyclo_sum``) runs through one
+kernel, ``_accumulate``: it adds the whole expression into a single
+vector of integer numerators of zeta_E^k, k < E, over one common
+denominator, E the lcm of the orders involved, and then canonicalizes
+the total.  Canonicalization (``_canonical``) rewrites that vector in a
+Zumbroich basis of Q(zeta_E) (T. Breuer, "Integral bases for subfields
+of cyclotomic fields", AAECC 1997), where membership in each maximal
+subfield Q(zeta_{E/p}) is a pattern of equal or vanishing coefficients,
+descends to the conductor, and reduces there modulo its cyclotomic
+polynomial.  Scaling by a nonzero rational and negation keep a value
+canonical and skip the kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import repeat
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple
-
-Rational = Fraction
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 @lru_cache(maxsize=None)
@@ -27,16 +36,8 @@ def euler_phi(e: int) -> int:
     if e < 1:
         raise ValueError("order must be positive")
     result = e
-    n = e
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
+    for p, _ in _prime_powers(e):
+        result -= result // p
     return result
 
 
@@ -50,6 +51,24 @@ def divisors(e: int) -> List[int]:
                 large.append(e // d)
         d += 1
     return small + large[::-1]
+
+
+@lru_cache(maxsize=None)
+def _prime_powers(n: int) -> Tuple[Tuple[int, int], ...]:
+    """(p, p^nu) for every prime power p^nu exactly dividing n, p ascending."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            out.append((p, q))
+        p += 1
+    if n > 1:
+        out.append((n, n))
+    return tuple(out)
 
 
 def _poly_exact_div(num: List[int], den: Tuple[int, ...]) -> List[int]:
@@ -86,84 +105,187 @@ def cyclotomic_polynomial(e: int) -> Tuple[int, ...]:
     return tuple(poly)
 
 
-def _reduce_mod_phi(e: int, coeffs: List[Fraction]) -> List[Fraction]:
+def _reduce_mod_phi(e: int, vec: List[int]) -> List[int]:
+    """Power-basis coordinates of sum_k vec[k] zeta_e^k (Phi_e is monic,
+    so integer numerators stay integers)."""
     phi = cyclotomic_polynomial(e)
     deg = len(phi) - 1
-    c = list(coeffs)
-    if len(c) < deg:
-        c += [Fraction(0)] * (deg - len(c))
+    terms = [(j, a) for j, a in enumerate(phi[:deg]) if a]
+    c = list(vec)
     for i in range(len(c) - 1, deg - 1, -1):
         q = c[i]
         if q:
-            c[i] = Fraction(0)
-            for j in range(deg):
-                if phi[j]:
-                    c[i - deg + j] -= q * phi[j]
+            base = i - deg
+            for j, a in terms:
+                c[base + j] -= q * a
     return c[:deg]
 
 
-def _solve_exact(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
-    """Solve A x = rhs over the rationals; None if inconsistent.
-
-    A has full column rank here (columns are a basis of a subfield), so
-    a consistent system has a unique solution.
-    """
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pr = next((i for i in range(r, m) if aug[i][col]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][col]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][ncols]:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][ncols]
-    # free columns cannot occur for a full-rank basis matrix, but if the
-    # rank were deficient the reconstruction below would catch it
-    for i in range(m):
-        acc = sum((rows[i][j] * sol[j] for j in range(ncols)), Fraction(0))
-        if acc != rhs[i]:
-            return None
-    return sol
+# -- the Zumbroich basis ------------------------------------------------------
+#
+# For n = prod p^nu, zeta_n^k is in the basis iff for every p the top base-p
+# digit of k (n/p^nu)^-1 mod p^nu is nonzero (zero for p = 2).  This is the
+# tensor product, over p, of zeta_p^j (j = 1..p-1; j = 0 for p = 2) with the
+# power bases of Q(zeta_{p^(i+1)}) over Q(zeta_{p^i}); Breuer's Zumbroich
+# basis takes balanced lower digits instead, and the pattern below is the
+# same for both.  The basis restricts to every subfield Q(zeta_{n/p}):
+#   p^2 | n or p = 2: the value lies in Q(zeta_{n/p}) iff its coordinates
+#     vanish off the exponents divisible by p; k/p are then its exponents;
+#   p || n, p odd: Q(zeta_n) = Q(zeta_{n/p})(zeta_p) with relative basis
+#     zeta_p^j, j = 1..p-1, and 1 = -(zeta_p + ... + zeta_p^(p-1)); the value
+#     lies in Q(zeta_{n/p}) iff its coordinates are equal along each
+#     j-group, and minus that common coordinate is its coordinate there.
 
 
 @lru_cache(maxsize=None)
-def _subfield_basis(e: int, d: int) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Canonical order-e coefficient vectors of zeta_d^j, j < phi(d)."""
-    step = e // d
-    basis = []
-    for j in range(euler_phi(d)):
-        vec = [Fraction(0)] * (j * step + 1)
-        vec[j * step] = Fraction(1)
-        basis.append(tuple(_reduce_mod_phi(e, vec)))
-    return tuple(basis)
+def _zumbroich_moves(n: int) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """Rewriting rules that take any vector of zeta_n^k coefficients into the
+    Zumbroich basis: (k, ts) replaces zeta_n^k by -sum_{t in ts} zeta_n^t.
+
+    Rules run prime by prime.  Adding n/p to k raises only the top digit of
+    its p-component, so sum_{i<p} zeta_n^(k + i n/p) = 0 moves a coordinate
+    off a bad exponent onto good ones for p and leaves every other prime's
+    digits, and so their verdicts, as they were.
+    """
+    moves = []
+    for p, q in _prime_powers(n):
+        top = q // p
+        u_inv = pow(n // q, -1, q)
+        step = n // p
+        bad = 1 if p == 2 else 0
+        for k in range(n):
+            if k * u_inv % q // top == bad:
+                moves.append((k, tuple((k + i * step) % n for i in range(1, p))))
+    return tuple(moves)
+
+
+@lru_cache(maxsize=None)
+def _descent_groups(n: int, p: int) -> Tuple[Tuple[int, ...], ...]:
+    """For p || n, p odd: the exponents p k + (n/p) j, j = 1..p-1, of
+    zeta_{n/p}^k zeta_p^j, for every k < n/p."""
+    m = n // p
+    return tuple(tuple((p * k + m * j) % n for j in range(1, p)) for k in range(m))
+
+
+def _descend(n: int, vec: List[int]) -> Tuple[int, List[int]]:
+    """Conductor of the value with Zumbroich coordinates ``vec`` in
+    Q(zeta_n), and its Zumbroich coordinates there.
+
+    The subfields of Q(zeta_n) containing the value are closed under
+    intersection, Q(zeta_a) and Q(zeta_b) meeting in Q(zeta_gcd(a, b)), so
+    stepping down to any maximal subfield that contains it ends at the
+    smallest one.
+    """
+    while n > 1:
+        for p, q in _prime_powers(n):
+            if q > p or p == 2:
+                if not any(any(vec[r::p]) for r in range(1, p)):
+                    vec, n = vec[::p], n // p
+                    break
+            else:
+                groups = _descent_groups(n, p)
+                if all(vec[t] == vec[g[0]] for g in groups for t in g):
+                    vec, n = [-vec[g[0]] for g in groups], n // p
+                    break
+        else:
+            break
+    return n, vec
+
+
+def _canonical(e: int, vec: List[int], den: int) -> "Cyclotomic":
+    """The canonical value of sum_k vec[k] zeta_e^k / den; consumes ``vec``."""
+    if e > 1:
+        for k, targets in _zumbroich_moves(e):
+            c = vec[k]
+            if c:
+                vec[k] = 0
+                for t in targets:
+                    vec[t] -= c
+        e, vec = _descend(e, vec)
+        if e > 1:
+            vec = _reduce_mod_phi(e, vec)
+    g = gcd(den, *vec)
+    if g != 1:
+        den //= g
+        vec = [c // g for c in vec]
+    if den == 1:
+        return Cyclotomic(e, tuple(map(Fraction, vec)))
+    return Cyclotomic(e, tuple(Fraction(c, den) for c in vec))
+
+
+def _accumulate(terms: Iterable[Tuple], conj: bool) -> "Cyclotomic":
+    """The kernel: sum of q * a * b' over the (q, a, b) in ``terms``, with
+    b' = conj(b) if ``conj`` else b, and b = None read as 1.
+
+    q is an int or Fraction.  Every product lands in one vector of E
+    integers over one common denominator, E the lcm of all orders, and the
+    total is canonicalized once.
+    """
+    terms = list(terms)
+    e = 1
+    for _, a, b in terms:
+        e = lcm(e, a.order) if b is None else lcm(e, a.order, b.order)
+    vec = [0] * e
+    den = 1
+    for q, a, b in terms:
+        if not q:
+            continue
+        ad, a_terms = a._int_form()
+        if not a_terms:
+            continue
+        d = q.denominator * ad
+        if b is not None:
+            bd, b_terms = b._int_form()
+            if not b_terms:
+                continue
+            d *= bd
+        if den % d:
+            scale = d // gcd(den, d)
+            vec = [c * scale for c in vec]
+            den *= scale
+        f = q.numerator * (den // d)
+        sa = e // a.order
+        if b is None:
+            for k, c in a_terms:
+                vec[k * sa] += f * c
+            continue
+        sb = -(e // b.order) if conj else e // b.order
+        for ka, ca in a_terms:
+            base, fa = ka * sa, f * ca
+            for kb, cb in b_terms:
+                vec[(base + kb * sb) % e] += fa * cb
+    return _canonical(e, vec, den)
 
 
 class Cyclotomic:
     """An element of Q(zeta_order), canonical and immutable."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "coeffs", "_ints")
 
     def __init__(self, order: int, coeffs: Tuple[Fraction, ...]):
         # internal: callers must pass an already-canonical representation
         self.order = order
         self.coeffs = coeffs
+        self._ints = None
+
+    def _int_form(self) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+        """The nonzero coefficients as integer numerators over one common
+        denominator: (den, ((k, numerator), ...)).  Kept for irrational
+        values, which are few and reused; rationals are many and cheap."""
+        if self.order == 1:
+            c = self.coeffs[0]
+            return c.denominator, (((0, c.numerator),) if c else ())
+        if self._ints is None:
+            den = lcm(*(c.denominator for c in self.coeffs))
+            self._ints = (
+                den,
+                tuple(
+                    (k, c.numerator * (den // c.denominator))
+                    for k, c in enumerate(self.coeffs)
+                    if c
+                ),
+            )
+        return self._ints
 
     # -- construction ---------------------------------------------------
 
@@ -174,29 +296,14 @@ class Cyclotomic:
     @staticmethod
     def from_terms(e: int, terms: Dict[int, Fraction]) -> "Cyclotomic":
         """Build from a sum of q * zeta_e^k terms (exponents folded mod e)."""
-        vec = [Fraction(0)] * e
+        if e < 1:
+            raise ValueError("order must be positive")
+        den = lcm(*(Fraction(q).denominator for q in terms.values()))
+        vec = [0] * e
         for k, q in terms.items():
-            if q:
-                vec[k % e] += q
-        reduced = _reduce_mod_phi(e, vec)
-        return Cyclotomic._canonical(e, reduced)
-
-    @staticmethod
-    def _canonical(e: int, coeffs: List[Fraction]) -> "Cyclotomic":
-        if e == 1:
-            return Cyclotomic(1, (coeffs[0],))
-        if all(c == 0 for c in coeffs[1:]):
-            return Cyclotomic(1, (coeffs[0],))
-        for d in divisors(e)[:-1]:
-            if d == 1:
-                continue
-            sol = _solve_exact(
-                [[b[i] for b in _subfield_basis(e, d)] for i in range(len(coeffs))],
-                coeffs,
-            )
-            if sol is not None:
-                return Cyclotomic(d, tuple(sol))
-        return Cyclotomic(e, tuple(coeffs))
+            q = Fraction(q)
+            vec[k % e] += q.numerator * (den // q.denominator)
+        return _canonical(e, vec, den)
 
     # -- queries ---------------------------------------------------------
 
@@ -237,11 +344,7 @@ class Cyclotomic:
             return NotImplemented
         if self.order == 1 and other.order == 1:
             return Cyclotomic(1, (self.coeffs[0] + other.coeffs[0],))
-        e = _lcm(self.order, other.order)
-        terms = self.embed_terms(e)
-        for k, q in other.embed_terms(e).items():
-            terms[k] = terms.get(k, Fraction(0)) + q
-        return Cyclotomic.from_terms(e, terms)
+        return _accumulate(((1, self, None), (1, other, None)), conj=False)
 
     __radd__ = __add__
 
@@ -265,15 +368,7 @@ class Cyclotomic:
             return other._scale(self.coeffs[0])
         if other.order == 1:
             return self._scale(other.coeffs[0])
-        e = _lcm(self.order, other.order)
-        a = self.embed_terms(e)
-        b = other.embed_terms(e)
-        terms: Dict[int, Fraction] = {}
-        for ka, qa in a.items():
-            for kb, qb in b.items():
-                k = (ka + kb) % e
-                terms[k] = terms.get(k, Fraction(0)) + qa * qb
-        return Cyclotomic.from_terms(e, terms)
+        return _accumulate(((1, self, other),), conj=False)
 
     __rmul__ = __mul__
 
@@ -303,8 +398,7 @@ class Cyclotomic:
         """The Galois map zeta -> zeta^(-1) (complex conjugation)."""
         if self.order == 1:
             return self
-        e = self.order
-        return Cyclotomic.from_terms(e, {(-k) % e: c for k, c in self.embed_terms(e).items()})
+        return _accumulate(((1, ONE, self),), conj=True)
 
     # -- ordering, hashing, display ----------------------------------------
 
@@ -358,8 +452,15 @@ def zeta(e: int, k: int = 1) -> Cyclotomic:
     return Cyclotomic.from_terms(e, {k % e: Fraction(1)})
 
 
-def cyclo_sum(values: Iterable[Cyclotomic]) -> Cyclotomic:
-    acc = ZERO
-    for v in values:
-        acc = acc + v
-    return acc
+def cyclo_sum(
+    values: Iterable[Cyclotomic],
+    weights: Optional[Iterable] = None,
+    conj_factors: Optional[Iterable[Cyclotomic]] = None,
+) -> Cyclotomic:
+    """sum_i weights[i] * values[i] * conj(conj_factors[i]), with one
+    canonicalization for the whole sum.  Weights are ints or Fractions and
+    default to 1; without ``conj_factors`` the sum is of weights[i] * values[i]."""
+    weights = repeat(1) if weights is None else weights
+    if conj_factors is None:
+        return _accumulate(zip(weights, values, repeat(None)), conj=False)
+    return _accumulate(zip(weights, values, conj_factors), conj=True)

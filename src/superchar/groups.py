@@ -8,6 +8,7 @@ so that downstream block identifiers and file formats are stable.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -128,9 +129,9 @@ def group_from_permutations(
     identity = tuple(range(degree))
     elements = [identity]
     index = {identity: 0}
-    queue = [identity]
+    queue = deque([identity])
     while queue:
-        cur = queue.pop(0)
+        cur = queue.popleft()
         for gen in gens:
             nxt = _compose(cur, gen)
             if nxt not in index:

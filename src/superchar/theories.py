@@ -217,7 +217,8 @@ def make_theory(
             cls,
             tuple(
                 cyclo_sum(
-                    Fraction(table.degrees[i]) * table.rows[i].values[ci] for i in xb
+                    (table.rows[i].values[ci] for i in xb),
+                    (table.degrees[i] for i in xb),
                 )
                 for ci in range(len(cls))
             ),

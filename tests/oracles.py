@@ -203,3 +203,105 @@ def naive_theory_count(n_elements, element_values, degrees):
             if ok:
                 count += 1
     return count
+
+
+# -- cyclotomic fields as polynomials mod Phi_E ----------------------------------
+#
+# An element of Q(zeta_E) is a list of Fraction coefficients of a polynomial
+# of degree < phi(E), reduced modulo Phi_E built here from the Moebius
+# product; nothing is shared with superchar.cyclo.
+
+
+def _mobius(n):
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_rem(a, m):
+    """Remainder of a modulo the monic polynomial m."""
+    a = [Fraction(x) for x in a]
+    deg = len(m) - 1
+    for i in range(len(a) - 1, deg - 1, -1):
+        q = a[i]
+        if q:
+            for j, c in enumerate(m):
+                a[i - deg + j] -= q * c
+    return (a + [Fraction(0)] * deg)[:deg]
+
+
+def cyclotomic_poly(n):
+    """Phi_n = prod over d | n of (x^d - 1)^mu(n/d), low degree first."""
+    num, den = [1], [1]
+    for d in range(1, n + 1):
+        if n % d == 0:
+            factor = [-1] + [0] * (d - 1) + [1]
+            mu = _mobius(n // d)
+            if mu == 1:
+                num = _poly_mul(num, factor)
+            elif mu == -1:
+                den = _poly_mul(den, factor)
+    # exact long division num / den (den is monic)
+    num = list(num)
+    quot = [0] * (len(num) - len(den) + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        q = num[i + len(den) - 1]
+        quot[i] = q
+        for j, c in enumerate(den):
+            num[i + j] -= q * c
+    assert not any(num)
+    return quot
+
+
+def field_element(E, terms):
+    """sum of q * zeta_E^k over the (k, q) in terms, reduced mod Phi_E."""
+    full = [Fraction(0)] * E
+    for k, q in terms:
+        full[k % E] += Fraction(q)
+    return _poly_rem(full, cyclotomic_poly(E))
+
+
+def embed(E, order, coeffs):
+    """A value given by power-basis coefficients in Q(zeta_order), order | E."""
+    step = E // order
+    return field_element(E, [(k * step, c) for k, c in enumerate(coeffs)])
+
+
+def field_mul(E, a, b):
+    return _poly_rem(_poly_mul(a, b), cyclotomic_poly(E))
+
+
+def galois(E, a, s):
+    """The automorphism zeta_E -> zeta_E^s applied to a."""
+    return field_element(E, [(k * s, c) for k, c in enumerate(a)])
+
+
+def conductor(E, a):
+    """Smallest d | E with a in Q(zeta_d): a is fixed by every zeta_E ->
+    zeta_E^s with s = 1 mod d (Galois correspondence)."""
+    units = [s for s in range(1, E + 1) if _gcd(s, E) == 1]
+    fixed = {s for s in units if galois(E, a, s) == a}
+    return next(
+        d for d in range(1, E + 1)
+        if E % d == 0 and all(s in fixed for s in units if s % d == 1 % d)
+    )
+
+
+def _gcd(a, b):
+    while b:
+        a, b = b, a % b
+    return a

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import oracles
 
 from superchar.cyclo import (
     Cyclotomic,
@@ -152,3 +155,87 @@ def test_conjugation_is_an_involution(a):
     norm = a * a.conjugate()
     # |a|^2 lies in the maximal real subfield; at least check conj-invariance
     assert norm.conjugate() == norm
+
+
+@pytest.mark.parametrize(
+    "value,order,coeffs",
+    [
+        (zeta(6) ** 2, 3, (0, 1)),
+        (zeta(4) ** 2, 1, (-1,)),
+        (cyclo_sum(zeta(5, k) for k in range(1, 5)), 1, (-1,)),
+        (zeta(12, 3), 4, (0, 1)),
+        ((zeta(8) + zeta(8, 7)) / 2, 8, (0, Fraction(1, 2), 0, Fraction(-1, 2))),
+    ],
+    ids=["z6^2", "z4^2", "z5-sum", "z12^3", "sqrt2/2"],
+)
+def test_pinned_canonical_forms(value, order, coeffs):
+    assert value.order == order
+    assert value.coeffs == coeffs
+    assert all(type(c) is Fraction for c in value.coeffs)
+
+
+def _random_value(e, terms):
+    return Cyclotomic.from_terms(e, dict(terms))
+
+
+# orders drawn from the divisors of 72 or of 60: every lcm stays small for
+# the oracle and mixes p^2 | E (4, 8, 9) with p || E (3, 5)
+field_values = st.sampled_from((72, 60)).flatmap(
+    lambda n: st.builds(
+        _random_value,
+        st.sampled_from([d for d in range(1, n + 1) if n % d == 0 and d <= 36]),
+        st.lists(
+            st.tuples(
+                st.integers(0, 35),
+                st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            ),
+            max_size=4,
+        ),
+    )
+)
+
+
+def _check_against_oracle(got, E, want):
+    assert E % got.order == 0
+    assert len(got.coeffs) == len(oracles.cyclotomic_poly(got.order)) - 1
+    assert oracles.embed(E, got.order, got.coeffs) == want
+    assert got.order == oracles.conductor(E, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=-4, max_value=4, max_denominator=3),
+            field_values,
+            field_values,
+        ),
+        max_size=4,
+    )
+)
+def test_kernel_matches_polynomial_oracle(terms):
+    E = 1
+    for _, a, b in terms:
+        E = E * a.order // gcd(E, a.order)
+        E = E * b.order // gcd(E, b.order)
+    weights = [q for q, _, _ in terms]
+    xs = [a for _, a, _ in terms]
+    ys = [b for _, _, b in terms]
+    as_field = [oracles.embed(E, v.order, v.coeffs) for v in xs]
+    conj_field = [
+        oracles.galois(E, oracles.embed(E, v.order, v.coeffs), E - 1) for v in ys
+    ]
+    zero = oracles.field_element(E, [])
+    want_sum = zero
+    want_dot = zero
+    for q, a, b in zip(weights, as_field, conj_field):
+        want_sum = [s + q * c for s, c in zip(want_sum, a)]
+        want_dot = [s + q * c for s, c in zip(want_dot, oracles.field_mul(E, a, b))]
+    _check_against_oracle(cyclo_sum(xs, weights), E, want_sum)
+    _check_against_oracle(cyclo_sum(xs, weights, ys), E, want_dot)
+    if terms:
+        a, b = xs[0], ys[0]
+        E2 = a.order * b.order // gcd(a.order, b.order)
+        fa, fb = (oracles.embed(E2, v.order, v.coeffs) for v in (a, b))
+        _check_against_oracle(a * b, E2, oracles.field_mul(E2, fa, fb))
+        _check_against_oracle(a + b, E2, [x + y for x, y in zip(fa, fb)])

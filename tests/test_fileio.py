@@ -8,6 +8,7 @@ from superchar import (
     builtin_group,
     dixon_character_table,
     find_uvdw_certificate,
+    group_from_permutations,
     maximal_theory,
 )
 from superchar.cyclo import Cyclotomic, zeta
@@ -143,3 +144,25 @@ def test_certificate_round_trip(s3_classical, tmp_path):
     assert [(hi.elements, b) for hi, b in loaded.terms] == [
         (hi.elements, b) for hi, b in cert.terms
     ]
+
+
+def _agl1_7():
+    # AGL(1, 7): x -> x + 1 and x -> 3x, 3 a primitive root mod 7
+    return group_from_permutations(
+        7, [[(x + 1) % 7 for x in range(7)], [(3 * x) % 7 for x in range(7)]], name="agl1_7"
+    )
+
+
+@pytest.mark.parametrize(
+    "build,fingerprint",
+    [
+        (lambda: builtin_group("c7"), "7265c48ebcefd1bb"),
+        (lambda: builtin_group("q16"), "924006ad23084f4d"),
+        (_agl1_7, "0d28983c8dfce2a6"),
+        (lambda: builtin_group("d30"), "898e1fce0969c347"),
+    ],
+    ids=["c7", "q16", "agl1_7", "d30"],
+)
+def test_pinned_table_fingerprints(build, fingerprint):
+    # chartable/v1 bytes must not drift with changes to the arithmetic
+    assert fileio.table_fingerprint(dixon_character_table(build())) == fingerprint
