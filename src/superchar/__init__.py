@@ -78,7 +78,6 @@ from .theories import (
     maximal_theory,
     srestrict,
     superinduce,
-    superinduce_via_reciprocity,
     theory_from_class_blocks,
 )
 

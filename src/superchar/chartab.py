@@ -124,63 +124,25 @@ def class_mult_coeffs(G: FiniteGroup) -> Tuple[Tuple[Tuple[int, ...], ...], ...]
 # -- small GF(p) linear algebra ----------------------------------------------
 
 
-def _solve_mod_p(cols: List[List[int]], rhs: List[int], p: int) -> List[int]:
-    """Solve sum_j x_j cols[j] = rhs mod p (consistent, full column rank)."""
-    m = len(rhs)
-    d = len(cols)
-    aug = [[cols[j][i] % p for j in range(d)] + [rhs[i] % p] for i in range(m)]
-    r = 0
-    pivots = []
-    for col in range(d):
-        pr = next((i for i in range(r, m) if aug[i][col]), None)
+def _row_reduce_mod_p(rows: List[List[int]], ncols: int, p: int) -> List[int]:
+    """Reduce ``rows`` in place to reduced row echelon form mod p, pivoting
+    only on the first ``ncols`` columns; return the pivot columns, pivot
+    k in row k.  Later columns are carried along as right-hand sides."""
+    pivots: List[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
         if pr is None:
             continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = pow(aug[r][col], -1, p)
-        aug[r] = [(x * inv) % p for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [(a - f * b) % p for a, b in zip(aug[i], aug[r])]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][col] % p
+            if i != r and f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
         pivots.append(col)
-        r += 1
-    sol = [0] * d
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][d]
-    for i in range(m):
-        assert sum(cols[j][i] * sol[j] for j in range(d)) % p == rhs[i] % p
-    return sol
-
-
-def _kernel_mod_p(mat: List[List[int]], p: int) -> List[List[int]]:
-    """Basis of the kernel of a square matrix mod p."""
-    d = len(mat)
-    a = [row[:] for row in mat]
-    pivots: Dict[int, int] = {}
-    r = 0
-    for col in range(d):
-        pr = next((i for i in range(r, d) if a[i][col] % p), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = pow(a[r][col] % p, -1, p)
-        a[r] = [(x * inv) % p for x in a[r]]
-        for i in range(d):
-            if i != r and a[i][col] % p:
-                f = a[i][col] % p
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots[col] = r
-        r += 1
-    kernel = []
-    for col in range(d):
-        if col in pivots:
-            continue
-        vec = [0] * d
-        vec[col] = 1
-        for pc, pr in pivots.items():
-            vec[pc] = (-a[pr][col]) % p
-        kernel.append(vec)
-    return kernel
+    return pivots
 
 
 def _mat_vec(mat: Sequence[Sequence[int]], vec: Sequence[int], p: int) -> List[int]:
@@ -297,16 +259,15 @@ def dixon_character_table(
         d = len(space)
         if d == 1:
             return [space]
-        cols = [[space[j][i] for j in range(d)] for i in range(r)]  # r x d
-        restricted_cols = [
-            _solve_mod_p(
-                [[space[j][i] for i in range(r)] for j in range(d)],
-                _mat_vec(mat, space[j], p),
-                p,
-            )
-            for j in range(d)
-        ]
-        restricted = [[restricted_cols[j][i] for j in range(d)] for i in range(d)]
+        # restricted[i][k]: coordinates of mat . space[k] in the basis
+        # space, all d right-hand sides solved in one reduction
+        images = [_mat_vec(mat, v, p) for v in space]
+        aug = [[v[i] for v in space] + [w[i] for w in images] for i in range(r)]
+        assert _row_reduce_mod_p(aug, d, p) == list(range(d)), "basis not independent mod p"
+        restricted = [row[d:] for row in aug[:d]]
+        for k, w in enumerate(images):
+            for i in range(r):
+                assert sum(space[j][i] * restricted[j][k] for j in range(d)) % p == w[i]
         pieces: List[List[List[int]]] = []
         covered = 0
         for lam in range(p):
@@ -314,7 +275,14 @@ def dixon_character_table(
                 [(restricted[i][j] - (lam if i == j else 0)) % p for j in range(d)]
                 for i in range(d)
             ]
-            ker = _kernel_mod_p(shifted, p)
+            pivots = _row_reduce_mod_p(shifted, d, p)
+            ker = []  # one kernel vector per free column
+            for free in (c for c in range(d) if c not in pivots):
+                vec = [0] * d
+                vec[free] = 1
+                for row, pc in enumerate(pivots):
+                    vec[pc] = (-shifted[row][free]) % p
+                ker.append(vec)
             if ker:
                 vecs = [
                     [sum(k[j] * space[j][i] for j in range(d)) % p for i in range(r)]
@@ -430,15 +398,19 @@ def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
 # -- restriction, induction, decomposition -----------------------------------
 
 
+def pull_back(f: ClassFunction, classes: ConjugacyClasses, embedding: Sequence[int]) -> ClassFunction:
+    """f composed with ``embedding``, a map from the elements of the group
+    of ``classes`` into f's group, read at each class representative."""
+    return ClassFunction(
+        classes, tuple(f.at_element(embedding[g]) for g in classes.representatives)
+    )
+
+
 def restrict(f: ClassFunction, H: Subgroup) -> ClassFunction:
     """Pull back a class function on the parent group to H."""
     if H.parent != f.group:
         raise NotASubgroup("subgroup does not live in the function's group")
-    hcls = conjugacy_classes(H.local)
-    values = tuple(
-        f.at_element(H.to_parent(c[0])) for c in hcls.classes
-    )
-    return ClassFunction(hcls, values)
+    return pull_back(f, conjugacy_classes(H.local), H.elements)
 
 
 def induce(f: ClassFunction, H: Subgroup) -> ClassFunction:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -156,11 +156,12 @@ class ConjugacyClasses:
     classes: Tuple[Tuple[int, ...], ...]
     class_of: Tuple[int, ...]
 
-    @property
+    # computed once per instance; equality and hashing stay over the fields
+    @cached_property
     def sizes(self) -> Tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
 
-    @property
+    @cached_property
     def representatives(self) -> Tuple[int, ...]:
         return tuple(c[0] for c in self.classes)
 

@@ -19,6 +19,7 @@ from .chartab import (
     has_only_linear_constituents,
     induce,
     inner_product,
+    pull_back,
     regular_character,
 )
 from .errors import (
@@ -30,7 +31,6 @@ from .groups import Subgroup
 from .theories import (
     CompatibleFamily,
     SuperclassFunction,
-    SupercharacterTheory,
     srestrict,
     superinduce,
 )
@@ -54,13 +54,9 @@ def _restriction_matrix(family: CompatibleFamily, sub: Subgroup) -> Tuple[Tuple[
     if key not in family._cache:
         top_theory = family.top_theory
         sub_theory = family.theory_for(sub)
-        h_classes = sub_theory.classes
         rows = []
         for sigma in top_theory.sigmas:
-            sigma_h = ClassFunction(
-                h_classes,
-                tuple(sigma.at_element(sub.to_parent(c[0])) for c in h_classes.classes),
-            )
+            sigma_h = pull_back(sigma, sub_theory.classes, sub.elements)
             row = []
             for tau in sub_theory.sigmas:
                 v = inner_product(sigma_h, tau).as_rational()
@@ -103,9 +99,6 @@ class NSystem:
 
     # -- the extension rule -------------------------------------------------
 
-    def _require_in_family(self, sub: Subgroup) -> SupercharacterTheory:
-        return self.family.theory_for(sub)
-
     def _theta_restricted(self, sub: Subgroup) -> SuperclassFunction:
         if sub.elements not in self._theta_restrictions:
             self._theta_restrictions[sub.elements] = srestrict(
@@ -126,7 +119,7 @@ class NSystem:
 
     def n_value(self, sub: Subgroup, phi: SuperclassFunction) -> Fraction:
         """n(H, phi) = <Theta_G, Sind phi> = <Theta_G|_H, phi>, asserted equal."""
-        theory = self._require_in_family(sub)
+        theory = self.family.theory_for(sub)
         if phi.theory != theory:
             raise NotASuperclassFunction(
                 "argument is not a superclass function of the subgroup's theory"
@@ -160,7 +153,7 @@ class NSystem:
         Computed from the extension rule and cross-checked against the
         alternate form sum_Y n(G, Sind sigma_Y)/sigma_Y(1) * sigma_Y.
         """
-        theory = self._require_in_family(sub)
+        theory = self.family.theory_for(sub)
         values = None
         for y, sigma in enumerate(theory.sigmas):
             n_def = self.n_sigma(sub, y)

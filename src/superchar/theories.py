@@ -17,7 +17,7 @@ from .chartab import (
     CharacterTable,
     ClassFunction,
     dixon_character_table,
-    inner_product,
+    pull_back,
 )
 from .cyclo import Cyclotomic, cyclo_sum
 from .errors import (
@@ -306,54 +306,38 @@ def set_partitions(items: Sequence[int]) -> Iterator[List[List[int]]]:
         yield [[first]] + part
 
 
-def set_partitions_k(items: Sequence[int], k: int) -> Iterator[List[List[int]]]:
-    """Set partitions with exactly k blocks."""
-    items = list(items)
-
-    def rec(i: int, blocks: List[List[int]]):
-        remaining = len(items) - i
-        if remaining == 0:
-            if len(blocks) == k:
-                yield [b[:] for b in blocks]
-            return
-        if len(blocks) + remaining < k or len(blocks) > k:
-            return
-        x = items[i]
-        for b in blocks:
-            b.append(x)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        if len(blocks) < k:
-            blocks.append([x])
-            yield from rec(i + 1, blocks)
-            blocks.pop()
-
-    yield from rec(0, [])
-
-
 def enumerate_theories(
     table: CharacterTable, max_classes: int = DEFAULT_ENUM_CLASS_CAP
 ) -> List[SupercharacterTheory]:
     """Exhaustive list of supercharacter theories of the table's group.
 
-    K-candidates run over partitions of the conjugacy classes with the
-    identity class in its own block (Diaconis-Isaacs union-of-classes
-    pruning); X-candidates over row partitions of matching size.
+    By Diaconis-Isaacs (Thm 2.2) the superclass partition K alone decides
+    whether a theory exists and fixes its X, so only K is searched: the
+    partitions of the classes with the identity class as its own block.
+    Rows are grouped by their central characters at the superclass sums,
+    omega_chi(K_j^) = sum_{c in K_j} |c| chi(c) / chi(1).  The K-sums span
+    an algebra exactly when there are |K| groups, and then the groups are
+    X.  ``make_theory`` stays the exact gate on every such candidate.
     """
     r = len(table.classes)
     if r > max_classes:
         raise OrderCapExceeded(
             f"{r} conjugacy classes exceeds enumeration cap {max_classes}"
         )
+    # weights[i][c] = |c| / chi_i(1)
+    weights = [[Fraction(s, d) for s in table.classes.sizes] for d in table.degrees]
     found: List[SupercharacterTheory] = []
-    for kpart in set_partitions(list(range(1, r))):
+    for kpart in set_partitions(range(1, r)):
         class_blocks = [[0]] + kpart
-        m = len(class_blocks)
-        for xpart in set_partitions_k(list(range(len(table.rows))), m):
-            try:
-                found.append(theory_from_class_blocks(table, xpart, class_blocks))
-            except NotASupercharacterTheory:
-                continue
+        groups: Dict[Tuple[Cyclotomic, ...], List[int]] = {}
+        for i, row in enumerate(table.rows):
+            key = tuple(
+                cyclo_sum((row.values[c] for c in block), (weights[i][c] for c in block))
+                for block in class_blocks
+            )
+            groups.setdefault(key, []).append(i)
+        if len(groups) == len(class_blocks):
+            found.append(theory_from_class_blocks(table, list(groups.values()), class_blocks))
     found.sort(key=lambda t: t.sort_key())
     return found
 
@@ -413,31 +397,6 @@ def superinduce(
     return big_theory.superclass_function(block_values)
 
 
-def superinduce_via_reciprocity(
-    phi: SuperclassFunction,
-    big_theory: SupercharacterTheory,
-    embedding: Sequence[int],
-) -> SuperclassFunction:
-    """Reconstruct the superinduction from Super Frobenius Reciprocity:
-    the sigma_X form an orthogonal basis of the superclass functions, so
-    Sind phi = sum_X <phi, sigma_X|_H> / <sigma_X, sigma_X> * sigma_X."""
-    _require_compatible(phi.theory, big_theory, embedding)
-    h_classes = phi.fn.classes
-    values = None
-    for x in range(big_theory.n_blocks):
-        sigma = big_theory.sigmas[x]
-        sigma_h = ClassFunction(
-            h_classes,
-            tuple(sigma.at_element(embedding[c[0]]) for c in h_classes.classes),
-        )
-        coeff = inner_product(phi.fn, sigma_h) * (
-            Fraction(1) / inner_product(sigma, sigma).as_rational()
-        )
-        term = sigma.scale(coeff)
-        values = term if values is None else values + term
-    return SuperclassFunction(big_theory, values)
-
-
 def srestrict(
     theta: SuperclassFunction,
     sub_theory: SupercharacterTheory,
@@ -445,11 +404,7 @@ def srestrict(
 ) -> SuperclassFunction:
     """Value pullback of a superclass function of G to a compatible H."""
     _require_compatible(sub_theory, theta.theory, embedding)
-    h_classes = conjugacy_classes(sub_theory.group)
-    fn = ClassFunction(
-        h_classes,
-        tuple(theta.fn.at_element(embedding[c[0]]) for c in h_classes.classes),
-    )
+    fn = pull_back(theta.fn, conjugacy_classes(sub_theory.group), embedding)
     return SuperclassFunction(sub_theory, fn)
 
 
@@ -492,9 +447,6 @@ class CompatibleFamily:
             if s.element_set == key:
                 return s
         raise SubgroupNotInFamily(f"no subgroup with elements {sorted(key)}")
-
-    def embedding_to_top(self, sub: Subgroup) -> Tuple[int, ...]:
-        return sub.elements
 
     def containment_pairs(self) -> Iterator[Tuple[Subgroup, Subgroup]]:
         """All ordered pairs (H1, H2) with H1 a proper subgroup of H2."""

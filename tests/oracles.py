@@ -1,8 +1,10 @@
 """Independent reference implementations, deliberately naive.
 
-Nothing here shares code paths with the package: oracles work directly
-on multiplication tables and raw value grids so that agreement with the
-library is meaningful evidence.
+Oracles work directly on multiplication tables and raw value grids so
+that agreement with the library is meaningful evidence.  The one
+exception is ``superinduce_via_reciprocity``: it takes the package's
+superclass functions and uses its inner product, but reaches the
+superinduction by a different formula than ``superinduce``.
 """
 
 from fractions import Fraction
@@ -203,6 +205,37 @@ def naive_theory_count(n_elements, element_values, degrees):
             if ok:
                 count += 1
     return count
+
+
+# -- superinduction by Super Frobenius Reciprocity ------------------------------
+
+
+def superinduce_via_reciprocity(phi, big_theory, embedding):
+    """Reconstruct the superinduction from Super Frobenius Reciprocity:
+    the sigma_X form an orthogonal basis of the superclass functions, so
+    Sind phi = sum_X <phi, sigma_X|_H> / <sigma_X, sigma_X> * sigma_X."""
+    from superchar import IncompatibleTheories, is_compatible
+    from superchar.chartab import ClassFunction, inner_product
+    from superchar.theories import SuperclassFunction
+
+    ok, witness = is_compatible(phi.theory, big_theory, embedding)
+    if not ok:
+        raise IncompatibleTheories(
+            f"superclass of element {witness} does not embed", witness=witness
+        )
+    h_classes = phi.fn.classes
+    values = None
+    for sigma in big_theory.sigmas:
+        sigma_h = ClassFunction(
+            h_classes,
+            tuple(sigma.at_element(embedding[c[0]]) for c in h_classes.classes),
+        )
+        coeff = inner_product(phi.fn, sigma_h) * (
+            Fraction(1) / inner_product(sigma, sigma).as_rational()
+        )
+        term = sigma.scale(coeff)
+        values = term if values is None else values + term
+    return SuperclassFunction(big_theory, values)
 
 
 # -- cyclotomic fields as polynomials mod Phi_E ----------------------------------

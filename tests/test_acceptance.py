@@ -5,7 +5,12 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import commutator_subgroup, degree_multisets, naive_theory_count
+from oracles import (
+    commutator_subgroup,
+    degree_multisets,
+    naive_theory_count,
+    superinduce_via_reciprocity,
+)
 from superchar import (
     DecompositionCertificate,
     InvalidCertificate,
@@ -31,7 +36,6 @@ from superchar.theories import (
     SuperclassFunction,
     srestrict,
     superinduce,
-    superinduce_via_reciprocity,
 )
 
 TABLE_GROUPS = [f"c{n}" for n in range(2, 13)] + ["s3", "s4", "a4", "d4", "q8"]
@@ -75,12 +79,12 @@ def test_criterion_1_character_tables():
 def test_criterion_2_enumeration_counts():
     failures = []
     counts = {}
-    for spec in ("c2", "c3", "c5", "c4", "s3", "d4"):
+    for spec in ("c2", "c3", "c5", "c7", "c4", "s3", "d4", "q8", "d5"):
         t0 = time.perf_counter()
         G = builtin_group(spec)
         table = dixon_character_table(G)
         counts[spec] = len(enumerate_theories(table))
-        if spec in ("c4", "s3", "d4"):
+        if spec in ("c4", "s3", "d4", "q8", "d5"):
             grid = [
                 [row.at_element(g) for g in range(G.order)] for row in table.rows
             ]
@@ -90,7 +94,9 @@ def test_criterion_2_enumeration_counts():
         elapsed = time.perf_counter() - t0
         if elapsed >= 60:
             failures.append((spec, "runtime", elapsed))
-    for spec, want in (("c2", 1), ("c3", 2), ("c5", 3)):
+    # C_p has d(p - 1) theories (Leung-Man); S3 has exactly two
+    # (Burkett-Lamar-Lewis-Wynn 2017)
+    for spec, want in (("c2", 1), ("c3", 2), ("c5", 3), ("c7", 4), ("s3", 2)):
         if counts[spec] != want:
             failures.append((spec, counts[spec], want))
     _report(2, "theory enumeration counts vs naive oracle", failures, str(counts))
