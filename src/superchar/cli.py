@@ -1,6 +1,15 @@
 """Command-line interface: deterministic, file-based access to every
 pipeline stage.
 
+Each subcommand is a row of ``COMMANDS``: words, handler, help, the flags
+it adds to the common ones (defined in ``FLAGS``) and the library
+exceptions it reports as verified-false.  The parser is built from these
+tables, and ``main`` runs every command the same way: check the caps,
+resolve the group (a builtin's order is checked before it is built), call
+the handler, print.  A handler ``(args, G) -> (ok, payload, lines)``
+computes and never prints: ``payload`` is the JSON output, ``lines`` the
+text output, and ``ok`` selects exit 0 or 1.
+
 Exit codes: 0 success/verified, 1 verified-false (witness printed),
 2 usage or validation error.  With ``--format json`` the output is
 canonical JSON, byte-stable for fixed inputs and seed.
@@ -11,16 +20,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from . import fileio
-from .chartab import (
-    DEFAULT_SEED,
-    dixon_character_table,
-    verify_orthogonality,
-)
+from .chartab import DEFAULT_SEED, dixon_character_table, verify_orthogonality
 from .errors import (
     IncompatibleFamily,
     NotAGroup,
@@ -34,8 +38,9 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     builtin_group,
-    closure,
+    builtin_order,
     conjugacy_classes,
+    derived_subgroup,
     element_order,
     enumerate_subgroups,
     subgroup_from_elements,
@@ -66,121 +71,62 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    """Resolved run options shared by all subcommands."""
-
-    group_path: Optional[str]
-    builtin: Optional[str]
-    fmt: str
-    max_order: int
-    enum_cap: int
-    budget: int
-    prime: Optional[int]
-    seed: int
-
-    def __post_init__(self):
-        if self.max_order <= 0 or self.enum_cap <= 0 or self.budget <= 0:
-            raise SchemaError("caps must be positive")
-
-
-def _config(args) -> RunConfig:
-    max_order = getattr(args, "max_order", None)
-    if max_order is None:
-        max_order = int(os.environ.get("SUPERCHAR_MAX_ORDER", DEFAULT_MAX_ORDER))
-    return RunConfig(
-        group_path=getattr(args, "group", None),
-        builtin=getattr(args, "builtin", None),
-        fmt=getattr(args, "format", "text"),
-        max_order=max_order,
-        enum_cap=getattr(args, "cap", DEFAULT_ENUM_CLASS_CAP),
-        budget=getattr(args, "budget", DEFAULT_SEARCH_BUDGET),
-        prime=getattr(args, "prime", None),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-    )
-
-
-def _resolve_group(cfg: RunConfig) -> FiniteGroup:
-    if (cfg.group_path is None) == (cfg.builtin is None):
+def _resolve_group(args) -> FiniteGroup:
+    if (args.group is None) == (args.builtin is None):
         raise SchemaError("exactly one of --group FILE or --builtin NAME is required")
-    G = builtin_group(cfg.builtin) if cfg.builtin else fileio.load_group(cfg.group_path)
-    if G.order > cfg.max_order:
+    G = None if args.builtin else fileio.load_group(args.group)
+    order = builtin_order(args.builtin) if G is None else G.order
+    if order > args.max_order:
         raise SchemaError(
-            f"group order {G.order} exceeds cap {cfg.max_order} "
+            f"group order {order} exceeds cap {args.max_order} "
             f"(set SUPERCHAR_MAX_ORDER or --max-order to raise it)"
         )
-    return G
+    return builtin_group(args.builtin) if G is None else G
 
 
-def _derived_subgroup(G: FiniteGroup) -> Subgroup:
-    gens = {
-        G.m(G.m(x, y), G.m(G.inverse(x), G.inverse(y)))
-        for x in range(G.order)
-        for y in range(G.order)
-    }
-    return subgroup_from_elements(G, closure(G, gens))
+def _comma_list(text: str, convert, message: str) -> list:
+    try:
+        return [convert(t) for t in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(message) from None
 
 
-def _parse_subgroup(G: FiniteGroup, spec: str) -> Subgroup:
+def _parse_subgroup(args, G: FiniteGroup) -> Subgroup:
     """Subgroup spec: 'trivial', 'whole', 'derived', '#k' (canonical
     index), 'Ak' (alternating part of a symmetric group, i.e. the derived
     subgroup of expected order k!/2), or comma-separated elements."""
-    spec = spec.strip()
+    spec = args.subgroup.strip()
     if spec == "trivial":
         return trivial_subgroup(G)
     if spec in ("whole", "G"):
         return whole_subgroup(G)
     if spec == "derived":
-        return _derived_subgroup(G)
+        return derived_subgroup(G)
     if spec.startswith("#"):
-        subs = enumerate_subgroups(G)
+        subs = enumerate_subgroups(G, max_order=args.max_order)
         k = int(spec[1:])
         if not 0 <= k < len(subs):
             raise SchemaError(f"subgroup index {k} out of range 0..{len(subs) - 1}")
         return subs[k]
     if len(spec) > 1 and spec[0] in "aA" and spec[1:].isdigit():
-        k = int(spec[1:])
-        want = 1
-        for i in range(3, k + 1):
-            want *= i
-        sub = _derived_subgroup(G)
+        want = builtin_order(spec)  # the order of the alternating group A_k
+        sub = derived_subgroup(G)
         if sub.order != want:
             raise SchemaError(
                 f"no alternating subgroup of order {want} (derived subgroup "
                 f"has order {sub.order})"
             )
         return sub
-    try:
-        elements = [int(t) for t in spec.split(",")]
-    except ValueError:
-        raise SchemaError(f"cannot parse subgroup spec {spec!r}") from None
+    elements = _comma_list(spec, int, f"cannot parse subgroup spec {spec!r}")
     return subgroup_from_elements(G, elements)
 
 
-def _parse_base(text: str) -> List[int]:
-    try:
-        return [int(t) for t in text.split(",")]
-    except ValueError:
-        raise SchemaError(f"base must be comma-separated integers, got {text!r}") from None
+def _family_subgroup(args, G: FiniteGroup, family) -> Subgroup:
+    return family.subgroup_by_elements(_parse_subgroup(args, G).elements)
 
 
-def _parse_values(text: str) -> List[Fraction]:
-    try:
-        return [Fraction(t) for t in text.split(",")]
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"values must be comma-separated rationals, got {text!r}") from None
-
-
-def _emit(args, payload: dict, lines: Sequence[str]):
-    if getattr(args, "format", "text") == "json":
-        print(fileio.canonical_json(payload))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _table_for(G: FiniteGroup, cfg: RunConfig):
-    return dixon_character_table(G, prime=cfg.prime, seed=cfg.seed)
+def _table(args, G: FiniteGroup):
+    return dixon_character_table(G, prime=args.prime, seed=args.seed)
 
 
 def _theory_from_choice(table, choice: str):
@@ -191,52 +137,72 @@ def _theory_from_choice(table, choice: str):
     return fileio.load_theory(table, choice)
 
 
-def _family_for(G: FiniteGroup, cfg: RunConfig, choice: str):
-    if choice in ("classical", "maximal"):
-        return make_family(G, choice, prime=cfg.prime, seed=cfg.seed)
-    return fileio.load_family(G, choice, prime=cfg.prime, seed=cfg.seed)
+def _subgroup_and_theories(args, G: FiniteGroup):
+    """--subgroup, the --theory of G and the --sub-theory of the subgroup."""
+    sub = _parse_subgroup(args, G)
+    big_theory = _theory_from_choice(_table(args, G), args.theory)
+    sub_table = dixon_character_table(sub.local, seed=args.seed)
+    sub_theory = _theory_from_choice(sub_table, args.sub_theory)
+    return sub, big_theory, sub_theory
 
 
-def _report_payload(report) -> dict:
-    return {
+def _family(args, G: FiniteGroup):
+    if args.family in ("classical", "maximal"):
+        subgroups = enumerate_subgroups(G, max_order=args.max_order)
+        return make_family(G, args.family, subgroups=subgroups, prime=args.prime, seed=args.seed)
+    return fileio.load_family(G, args.family, prime=args.prime, seed=args.seed)
+
+
+def _block_values(function, label: str = "") -> Tuple[dict, List[str]]:
+    """The K-block values of a superclass function: JSON map and text lines."""
+    blocks = list(enumerate(function.block_values()))
+    return {f"K{k}": str(v) for k, v in blocks}, [f"  {label}K{k}: {v}" for k, v in blocks]
+
+
+def _report(report):
+    """A verifier report as a result: ok, payload and lines."""
+    payload = {
         "check": report.name,
         "ok": report.ok,
         "details": report.details,
         "witness": report.violations,
         "warnings": report.warnings,
     }
-
-
-def _report_exit(args, report) -> int:
     lines = [f"{report.name}: {'ok' if report.ok else 'FAILED'}"]
     lines += [f"  {k} = {v}" for k, v in report.details.items()]
     lines += [f"  violation: {v}" for v in report.violations]
     lines += [f"  warning: {w}" for w in report.warnings]
-    _emit(args, _report_payload(report), lines)
-    return EXIT_OK if report.ok else EXIT_FALSE
+    return report.ok, payload, lines
 
 
-# -- group ---------------------------------------------------------------------
+def _certificate_search(args, G: FiniteGroup, family):
+    """Certificate search on --subgroup: the search and its not-found payload."""
+    search = find_uvdw_certificate(family, _family_subgroup(args, G, family), budget=args.budget)
+    return search, {"found": False, "exhausted": search.exhausted, "nodes": search.nodes}
 
 
-def cmd_group_check(args) -> int:
-    cfg = _config(args)
-    try:
-        G = _resolve_group(cfg)
-    except NotAGroup as exc:
-        payload = {"ok": False, "witness": {"reason": exc.reason}}
-        _emit(args, payload, [f"not a group: {exc.reason}"])
-        return EXIT_FALSE
+def _refusal(exc: SupercharError) -> Tuple[dict, str]:
+    """Witness and text line of a refusal a command reports with exit 1."""
+    if isinstance(exc, NotAGroup):
+        return {"reason": exc.reason}, f"not a group: {exc.reason}"
+    if isinstance(exc, IncompatibleFamily):
+        witness = {"h1": list(exc.h1_elements), "h2": list(exc.h2_elements), "element": exc.witness}
+        return witness, f"family incompatible: {exc}"
+    if isinstance(exc, NotASupercharacterTheory):
+        witness = {"condition": exc.condition, "message": str(exc), **exc.witness}
+    else:
+        witness = {"message": str(exc)}
+    return witness, f"not a supercharacter theory: {exc}"
+
+
+def cmd_group_check(args, G):
     payload = {"ok": True, "name": G.name, "order": G.order, "exponent": G.exponent}
-    _emit(args, payload, [f"{G.name}: group of order {G.order}, exponent {G.exponent}"])
-    return EXIT_OK
+    return True, payload, [f"{G.name}: group of order {G.order}, exponent {G.exponent}"]
 
 
-def cmd_group_info(args) -> int:
-    cfg = _config(args)
-    G = _resolve_group(cfg)
+def cmd_group_info(args, G):
     cls = conjugacy_classes(G)
-    subs = enumerate_subgroups(G)
+    subs = enumerate_subgroups(G, max_order=args.max_order)
     payload = {
         "name": G.name,
         "order": G.order,
@@ -253,17 +219,11 @@ def cmd_group_info(args) -> int:
         f"subgroups ({len(subs)}):",
     ]
     lines += [f"  #{i}: order {s.order}, elements {list(s.elements)}" for i, s in enumerate(subs)]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return True, payload, lines
 
 
-# -- table ---------------------------------------------------------------------
-
-
-def cmd_table_compute(args) -> int:
-    cfg = _config(args)
-    G = _resolve_group(cfg)
-    table = _table_for(G, cfg)
+def cmd_table_compute(args, G):
+    table = _table(args, G)
     if args.output:
         fileio.save_table(table, args.output)
     payload = fileio.table_to_obj(table)
@@ -273,149 +233,69 @@ def cmd_table_compute(args) -> int:
         f"fingerprint {payload['fingerprint']}",
         "degrees: " + " ".join(str(d) for d in table.degrees),
     ]
-    for i, row in enumerate(table.rows):
-        lines.append(f"chi{i}: " + "  ".join(str(v) for v in row.values))
-    _emit(args, payload, lines)
-    return EXIT_OK
+    lines += [f"chi{i}: " + "  ".join(str(v) for v in row.values) for i, row in enumerate(table.rows)]
+    return True, payload, lines
 
 
-def cmd_table_verify(args) -> int:
-    cfg = _config(args)
-    G = _resolve_group(cfg)
-    table = fileio.decode_table(G, args.table)
-    report = verify_orthogonality(table)
-    payload = {"ok": report.ok, "witness": report.violations}
+def cmd_table_verify(args, G):
+    report = verify_orthogonality(fileio.decode_table(G, args.table))
     lines = [f"orthogonality: {'ok' if report.ok else 'FAILED'}"]
     lines += [f"  violation: {v}" for v in report.violations]
-    _emit(args, payload, lines)
-    return EXIT_OK if report.ok else EXIT_FALSE
+    return report.ok, {"ok": report.ok, "witness": report.violations}, lines
 
 
-# -- sct -----------------------------------------------------------------------
-
-
-def _theory_lines(theory) -> List[str]:
-    lines = []
+def cmd_sct_verify(args, G):
+    theory = fileio.load_theory(_table(args, G), args.theory)
+    lines = [f"valid theory with {theory.n_blocks} blocks"]
     for x, (xb, kb) in enumerate(zip(theory.irr_blocks, theory.class_blocks)):
         elems = theory.superclass_elements(x)
         lines.append(f"X{x}={list(xb)}  K{x}=classes {list(kb)} elements {list(elems)}")
-    return lines
+    return True, {"ok": True, "theory": fileio.theory_to_obj(theory)}, lines
 
 
-def cmd_sct_verify(args) -> int:
-    cfg = _config(args)
-    G = _resolve_group(cfg)
-    table = _table_for(G, cfg)
-    try:
-        theory = fileio.load_theory(table, args.theory)
-    except NotASupercharacterTheory as exc:
-        payload = {
-            "ok": False,
-            "witness": {"condition": exc.condition, "message": str(exc), **exc.witness},
-        }
-        _emit(args, payload, [f"not a supercharacter theory: {exc}"])
-        return EXIT_FALSE
-    except NotAPartition as exc:
-        payload = {"ok": False, "witness": {"message": str(exc)}}
-        _emit(args, payload, [f"not a supercharacter theory: {exc}"])
-        return EXIT_FALSE
-    payload = {"ok": True, "theory": fileio.theory_to_obj(theory)}
-    _emit(args, payload, [f"valid theory with {theory.n_blocks} blocks"] + _theory_lines(theory))
-    return EXIT_OK
-
-
-def cmd_sct_enumerate(args) -> int:
-    cfg = _config(args)
-    G = _resolve_group(cfg)
-    table = _table_for(G, cfg)
-    theories = enumerate_theories(table, max_classes=cfg.enum_cap)
+def cmd_sct_enumerate(args, G):
+    theories = enumerate_theories(_table(args, G), max_classes=args.cap)
+    partitions = [
+        ([list(b) for b in t.irr_blocks], [list(b) for b in t.class_blocks]) for t in theories
+    ]
     payload = {
         "group": G.name,
         "count": len(theories),
-        "theories": [
-            {
-                "irr_partition": [list(b) for b in t.irr_blocks],
-                "class_partition": [list(b) for b in t.class_blocks],
-            }
-            for t in theories
-        ],
+        "theories": [{"irr_partition": x, "class_partition": k} for x, k in partitions],
     }
     lines = [f"{len(theories)} supercharacter theories of {G.name}"]
-    for i, t in enumerate(theories):
-        lines.append(f"[{i}] X={[list(b) for b in t.irr_blocks]} K={[list(b) for b in t.class_blocks]}")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    lines += [f"[{i}] X={x} K={k}" for i, (x, k) in enumerate(partitions)]
+    return True, payload, lines
 
 
-def cmd_sct_compat(args) -> int:
-    cfg = _config(args)
-    G = _resolve_group(cfg)
-    sub = _parse_subgroup(G, args.subgroup)
-    big_theory = _theory_from_choice(_table_for(G, cfg), args.theory)
-    sub_theory = _theory_from_choice(
-        dixon_character_table(sub.local, seed=cfg.seed), args.sub_theory
-    )
+def cmd_sct_compat(args, G):
+    sub, big_theory, sub_theory = _subgroup_and_theories(args, G)
     ok, witness = is_compatible(sub_theory, big_theory, sub.elements)
     payload = {"ok": ok, "subgroup": list(sub.elements)}
     if not ok:
         payload["witness"] = {"element": witness}
-    lines = [
-        f"theories on {list(sub.elements)} <= {G.name}: "
-        + ("compatible" if ok else f"INCOMPATIBLE (witness element {witness})")
-    ]
-    _emit(args, payload, lines)
-    return EXIT_OK if ok else EXIT_FALSE
+    verdict = "compatible" if ok else f"INCOMPATIBLE (witness element {witness})"
+    return ok, payload, [f"theories on {list(sub.elements)} <= {G.name}: {verdict}"]
 
 
-# -- superinduction --------------------------------------------------------------
-
-
-def cmd_sind(args) -> int:
-    cfg = _config(args)
-    G = _resolve_group(cfg)
-    sub = _parse_subgroup(G, args.subgroup)
-    big_theory = _theory_from_choice(_table_for(G, cfg), args.theory)
-    sub_theory = _theory_from_choice(
-        dixon_character_table(sub.local, seed=cfg.seed), args.sub_theory
+def cmd_sind(args, G):
+    sub, big_theory, sub_theory = _subgroup_and_theories(args, G)
+    values = _comma_list(
+        args.values, Fraction, f"values must be comma-separated rationals, got {args.values!r}"
     )
-    values = _parse_values(args.values)
     if len(values) != sub_theory.n_blocks:
         raise SchemaError(
             f"expected {sub_theory.n_blocks} block values for the subgroup theory, "
             f"got {len(values)}"
         )
     phi = sub_theory.superclass_function(values)
-    result = superinduce(phi, big_theory, sub.elements)
-    blocks = result.block_values()
-    payload = {
-        "subgroup": list(sub.elements),
-        "values": {f"K{k}": str(v) for k, v in enumerate(blocks)},
-    }
-    lines = [f"Sind from {list(sub.elements)} to {G.name}:"]
-    lines += [f"  K{k}: {v}" for k, v in enumerate(blocks)]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    values_map, lines = _block_values(superinduce(phi, big_theory, sub.elements))
+    payload = {"subgroup": list(sub.elements), "values": values_map}
+    return True, payload, [f"Sind from {list(sub.elements)} to {G.name}:"] + lines
 
 
-# -- family ----------------------------------------------------------------------
-
-
-def cmd_family_check(args) -> int:
-    cfg = _config(args)
-    G = _resolve_group(cfg)
-    try:
-        family = _family_for(G, cfg, args.family)
-    except IncompatibleFamily as exc:
-        payload = {
-            "ok": False,
-            "witness": {
-                "h1": list(exc.h1_elements),
-                "h2": list(exc.h2_elements),
-                "element": exc.witness,
-            },
-        }
-        _emit(args, payload, [f"family incompatible: {exc}"])
-        return EXIT_FALSE
+def cmd_family_check(args, G):
+    family = _family(args, G)
     if args.output:
         fileio.save_family(family, args.output)
     payload = {
@@ -427,140 +307,152 @@ def cmd_family_check(args) -> int:
         f"compatible {family.label} family on {G.name} "
         f"with {len(family.subgroups)} subgroups"
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return True, payload, lines
 
 
-# -- n-systems ---------------------------------------------------------------------
-
-
-def _nsystem_from_args(args, cfg, G) -> NSystem:
-    family = _family_for(G, cfg, args.family)
-    if getattr(args, "nsys", None):
+def _nsystem(args, G) -> NSystem:
+    family = _family(args, G)
+    if args.nsys:
         return fileio.load_nsystem(family, args.nsys)
-    if getattr(args, "base", None) is None:
+    if args.base is None:
         raise SchemaError("one of --base or --nsys is required")
-    return NSystem(family, _parse_base(args.base))
+    base = _comma_list(args.base, int, f"base must be comma-separated integers, got {args.base!r}")
+    return NSystem(family, base)
 
 
-def cmd_nsys_build(args) -> int:
-    cfg = _config(args)
-    G = _resolve_group(cfg)
-    ns = _nsystem_from_args(args, cfg, G)
+def cmd_nsys_build(args, G):
+    ns = _nsystem(args, G)
     if args.output:
         fileio.save_nsystem(ns, args.output)
-    blocks = ns.theta_top.block_values()
     payload = fileio.nsystem_to_obj(ns)
-    payload["theta"] = {f"K{k}": str(v) for k, v in enumerate(blocks)}
-    lines = [f"n-system on {G.name} ({ns.family.label} family), base {list(ns.base)}"]
-    lines += [f"  Theta K{k}: {v}" for k, v in enumerate(blocks)]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    payload["theta"], lines = _block_values(ns.theta_top, "Theta ")
+    head = f"n-system on {G.name} ({ns.family.label} family), base {list(ns.base)}"
+    return True, payload, [head] + lines
 
 
-def cmd_nsys_theta(args) -> int:
-    cfg = _config(args)
-    G = _resolve_group(cfg)
-    ns = _nsystem_from_args(args, cfg, G)
-    sub = ns.family.subgroup_by_elements(_parse_subgroup(G, args.subgroup).elements)
-    theta = ns.theta(sub)
-    blocks = theta.block_values()
-    payload = {
-        "subgroup": list(sub.elements),
-        "theta": {f"K{k}": str(v) for k, v in enumerate(blocks)},
-    }
-    lines = [f"Theta on subgroup {list(sub.elements)}:"]
-    lines += [f"  K{k}: {v}" for k, v in enumerate(blocks)]
-    _emit(args, payload, lines)
-    return EXIT_OK
+def cmd_nsys_theta(args, G):
+    ns = _nsystem(args, G)
+    sub = _family_subgroup(args, G, ns.family)
+    theta, lines = _block_values(ns.theta(sub))
+    payload = {"subgroup": list(sub.elements), "theta": theta}
+    return True, payload, [f"Theta on subgroup {list(sub.elements)}:"] + lines
 
 
-def cmd_nsys_verify(args) -> int:
-    cfg = _config(args)
-    G = _resolve_group(cfg)
-    ns = _nsystem_from_args(args, cfg, G)
+def cmd_nsys_verify(args, G):
+    ns = _nsystem(args, G)
     family = ns.family
     if args.theorem == "artin-takagi":
-        return _report_exit(args, verify_artin_takagi(ns))
+        return _report(verify_artin_takagi(ns))
     if args.theorem == "ach3":
-        return _report_exit(args, check_ach3(ns))
+        return _report(check_ach3(ns))
     if args.theorem == "heilbronn-stark":
-        if args.subgroup:
-            subs = [family.subgroup_by_elements(_parse_subgroup(G, args.subgroup).elements)]
-        else:
-            subs = list(family.subgroups)
+        subs = [_family_subgroup(args, G, family)] if args.subgroup else family.subgroups
         reports = [verify_heilbronn_stark(ns, sub) for sub in subs]
         ok = all(r.ok for r in reports)
-        payload = {"ok": ok, "reports": [_report_payload(r) for r in reports]}
+        payload = {"ok": ok, "reports": [_report(r)[1] for r in reports]}
         lines = []
         for sub, r in zip(subs, reports):
-            lines.append(
-                f"heilbronn-stark on {list(sub.elements)}: {'ok' if r.ok else 'FAILED'}"
-            )
+            lines.append(f"heilbronn-stark on {list(sub.elements)}: {'ok' if r.ok else 'FAILED'}")
             lines += [f"  violation: {v}" for v in r.violations]
-        _emit(args, payload, lines)
-        return EXIT_OK if ok else EXIT_FALSE
+        return ok, payload, lines
     # uvdw
     if args.cert:
         cert = fileio.load_certificate(family, args.cert)
     else:
         if not args.subgroup:
             raise SchemaError("uvdw verification needs --cert FILE or --subgroup SPEC")
-        sub = family.subgroup_by_elements(_parse_subgroup(G, args.subgroup).elements)
-        search = find_uvdw_certificate(family, sub, budget=cfg.budget)
+        search, not_found = _certificate_search(args, G, family)
         if search.certificate is None:
-            payload = {
-                "ok": False,
-                "witness": {"found": False, "exhausted": search.exhausted, "nodes": search.nodes},
-            }
-            _emit(args, payload, ["no certificate found within budget"])
-            return EXIT_FALSE
+            return False, {"ok": False, "witness": not_found}, ["no certificate found within budget"]
         cert = search.certificate
-    return _report_exit(args, verify_uvdw(ns, cert))
+    return _report(verify_uvdw(ns, cert))
 
 
-# -- certificate search ---------------------------------------------------------------
-
-
-def cmd_uvdw_find(args) -> int:
-    cfg = _config(args)
-    G = _resolve_group(cfg)
-    family = _family_for(G, cfg, args.family)
-    sub = family.subgroup_by_elements(_parse_subgroup(G, args.subgroup).elements)
-    search = find_uvdw_certificate(family, sub, budget=cfg.budget)
+def cmd_uvdw_find(args, G):
+    search, not_found = _certificate_search(args, G, _family(args, G))
     if search.certificate is None:
-        payload = {
-            "found": False,
-            "exhausted": search.exhausted,
-            "nodes": search.nodes,
-        }
         status = "budget exhausted" if search.exhausted else "search space exhausted"
-        _emit(args, payload, [f"no certificate found ({status}, {search.nodes} nodes)"])
-        return EXIT_FALSE
+        return False, not_found, [f"no certificate found ({status}, {search.nodes} nodes)"]
     cert = search.certificate
     if args.output:
         fileio.save_certificate(cert, args.output)
     payload = {"found": True, "nodes": search.nodes, "certificate": fileio.certificate_to_obj(cert)}
     lines = [f"certificate for H = {list(cert.subgroup.elements)} ({search.nodes} nodes):"]
-    for hi, blocks in cert.terms:
-        lines.append(f"  Hi = {list(hi.elements)}, sigma blocks {['X%d' % b for b in blocks]}")
-    if not cert.terms:
-        lines.append("  (empty decomposition: Sind 1_H = 1_G)")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    lines += [
+        f"  Hi = {list(hi.elements)}, sigma blocks {['X%d' % b for b in blocks]}"
+        for hi, blocks in cert.terms
+    ] or ["  (empty decomposition: Sind 1_H = 1_G)"]
+    return True, payload, lines
 
 
-# -- parser ------------------------------------------------------------------------
+THEORY = "classical | maximal | sct/v1 file"
+THEOREMS = ["artin-takagi", "heilbronn-stark", "uvdw", "ach3"]
+SUBGROUP = "trivial | whole | derived | #k | Ak | comma-separated elements"
 
+# name -> (option, argparse keywords); two names share an option that two
+# commands define differently
+FLAGS = {
+    "group": ("--group", dict(help="group file (group/v1 JSON)")),
+    "builtin": ("--builtin", dict(help="built-in group: cN, sN, dN, qN or aN")),
+    "format": ("--format", dict(choices=["text", "json"], default="text")),
+    "seed": ("--seed", dict(type=int, default=DEFAULT_SEED)),
+    "prime": ("--prime", dict(type=int, help="Dixon prime override")),
+    "max-order": ("--max-order", dict(type=int, help="group order cap (else $SUPERCHAR_MAX_ORDER)")),
+    "output": ("--output", dict(help="write the result to this file")),
+    "table": ("--table", dict(required=True, help="chartable/v1 file")),
+    "theory-file": ("--theory", dict(required=True, help="sct/v1 file")),
+    "theory": ("--theory", dict(default="classical", help=THEORY)),
+    "sub-theory": ("--sub-theory", dict(default="classical", help=THEORY)),
+    "cap": ("--cap", dict(type=int, default=DEFAULT_ENUM_CLASS_CAP, help="max classes to enumerate")),
+    "subgroup": ("--subgroup", dict(required=True, help=SUBGROUP)),
+    "subgroup-opt": ("--subgroup", dict(help=SUBGROUP)),
+    "values": ("--values", dict(required=True, help="one rational per subgroup K-block")),
+    "family": ("--family", dict(default="classical", help="classical | maximal | family/v1 file")),
+    "base": ("--base", dict(help="comma-separated integers, one per top X-block")),
+    "nsys": ("--nsys", dict(help="nsys/v1 file instead of --base")),
+    "theorem": ("--theorem", dict(required=True, choices=THEOREMS)),
+    "cert": ("--cert", dict(help="uvdw/v1 certificate file")),
+    "budget": ("--budget", dict(type=int, default=DEFAULT_SEARCH_BUDGET, help="max search nodes")),
+}
+COMMON_FLAGS = ("group", "builtin", "format", "seed", "prime", "max-order")
 
-def _add_common(p, group=True):
-    if group:
-        p.add_argument("--group", help="group file (group/v1 JSON)")
-        p.add_argument("--builtin", help="built-in group: cN, sN, dN, qN or aN")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--prime", type=int, default=None, help="Dixon prime override")
-    p.add_argument("--max-order", dest="max_order", type=int, default=None)
+GROUP_HELP = {
+    "group": "group input checks",
+    "table": "character tables",
+    "sct": "supercharacter theories",
+    "family": "compatible families",
+    "nsys": "integer systems on supercharacters",
+    "uvdw": "decomposition certificates",
+}
+
+# (words, handler, help, flags beyond COMMON_FLAGS, library exceptions the
+# command reports as verified-false with exit 1)
+NSYS = ("family", "base", "nsys")
+COMMANDS = (
+    ("group check", cmd_group_check, "verify the group axioms", (), (NotAGroup,)),
+    ("group info", cmd_group_info, "classes, element orders and subgroups", (), ()),
+    ("table compute", cmd_table_compute, "exact character table via Dixon's method",
+     ("output",), ()),
+    ("table verify", cmd_table_verify, "check a table file against the orthogonality relations",
+     ("table",), ()),
+    ("sct verify", cmd_sct_verify, "validate a theory file", ("theory-file",),
+     (NotASupercharacterTheory, NotAPartition)),
+    ("sct enumerate", cmd_sct_enumerate, "list every supercharacter theory", ("cap",), ()),
+    ("sct compat", cmd_sct_compat, "check subgroup-theory compatibility",
+     ("subgroup", "theory", "sub-theory"), ()),
+    ("sind", cmd_sind, "superinduce a superclass function",
+     ("subgroup", "theory", "sub-theory", "values"), ()),
+    ("family check", cmd_family_check, "build a family and verify pairwise compatibility",
+     ("family", "output"), (IncompatibleFamily,)),
+    ("nsys build", cmd_nsys_build, "build an n-system and print its Theta on G",
+     NSYS + ("output",), ()),
+    ("nsys theta", cmd_nsys_theta, "Theta of an n-system on a subgroup of its family",
+     NSYS + ("subgroup",), ()),
+    ("nsys verify", cmd_nsys_verify, "check a theorem on an n-system",
+     NSYS + ("theorem", "subgroup-opt", "cert", "budget"), ()),
+    ("uvdw find", cmd_uvdw_find, "search for a decomposition certificate",
+     ("family", "subgroup", "budget", "output"), ()),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -568,116 +460,40 @@ def build_parser() -> argparse.ArgumentParser:
         prog="superchar",
         description="Exact supercharacter theories and arithmetic invariants of finite groups.",
     )
+    # caps of the commands without --cap or --budget, so every command has both
+    parser.set_defaults(cap=DEFAULT_ENUM_CLASS_CAP, budget=DEFAULT_SEARCH_BUDGET)
     top = parser.add_subparsers(dest="command", required=True)
-
-    g = top.add_parser("group", help="group input checks").add_subparsers(
-        dest="sub", required=True
-    )
-    p = g.add_parser("check", help="verify the group axioms")
-    _add_common(p)
-    p.set_defaults(func=cmd_group_check)
-    p = g.add_parser("info", help="classes, element orders and subgroups")
-    _add_common(p)
-    p.set_defaults(func=cmd_group_info)
-
-    t = top.add_parser("table", help="character tables").add_subparsers(
-        dest="sub", required=True
-    )
-    p = t.add_parser("compute", help="exact character table via Dixon's method")
-    _add_common(p)
-    p.add_argument("--output", help="write a chartable/v1 file")
-    p.set_defaults(func=cmd_table_compute)
-    p = t.add_parser("verify", help="check a table file against the orthogonality relations")
-    _add_common(p)
-    p.add_argument("--table", required=True, help="chartable/v1 file")
-    p.set_defaults(func=cmd_table_verify)
-
-    s = top.add_parser("sct", help="supercharacter theories").add_subparsers(
-        dest="sub", required=True
-    )
-    p = s.add_parser("verify", help="validate a theory file")
-    _add_common(p)
-    p.add_argument("--theory", required=True, help="sct/v1 file")
-    p.set_defaults(func=cmd_sct_verify)
-    p = s.add_parser("enumerate", help="list every supercharacter theory")
-    _add_common(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CLASS_CAP,
-                   help="max conjugacy classes for enumeration")
-    p.set_defaults(func=cmd_sct_enumerate)
-    p = s.add_parser("compat", help="check subgroup-theory compatibility")
-    _add_common(p)
-    p.add_argument("--subgroup", required=True)
-    p.add_argument("--theory", default="classical", help="classical | maximal | sct/v1 file")
-    p.add_argument("--sub-theory", dest="sub_theory", default="classical")
-    p.set_defaults(func=cmd_sct_compat)
-
-    p = top.add_parser("sind", help="superinduce a superclass function")
-    _add_common(p)
-    p.add_argument("--subgroup", required=True)
-    p.add_argument("--theory", default="classical")
-    p.add_argument("--sub-theory", dest="sub_theory", default="classical")
-    p.add_argument("--values", required=True, help="one rational per subgroup K-block")
-    p.set_defaults(func=cmd_sind)
-
-    f = top.add_parser("family", help="compatible families").add_subparsers(
-        dest="sub", required=True
-    )
-    p = f.add_parser("check", help="build a family and verify pairwise compatibility")
-    _add_common(p)
-    p.add_argument("--family", default="classical", help="classical | maximal | family/v1 file")
-    p.add_argument("--output", help="write a family/v1 file")
-    p.set_defaults(func=cmd_family_check)
-
-    n = top.add_parser("nsys", help="integer systems on supercharacters").add_subparsers(
-        dest="sub", required=True
-    )
-    for name, func, extra in (
-        ("build", cmd_nsys_build, "output"),
-        ("theta", cmd_nsys_theta, "subgroup"),
-        ("verify", cmd_nsys_verify, "verify"),
-    ):
-        p = n.add_parser(name)
-        _add_common(p)
-        p.add_argument("--family", default="classical")
-        p.add_argument("--base", help="comma-separated integers, one per top X-block")
-        p.add_argument("--nsys", help="nsys/v1 file instead of --base")
-        if extra == "output":
-            p.add_argument("--output", help="write an nsys/v1 file")
-        elif extra == "subgroup":
-            p.add_argument("--subgroup", required=True)
-        else:
-            p.add_argument(
-                "--theorem",
-                required=True,
-                choices=["artin-takagi", "heilbronn-stark", "uvdw", "ach3"],
-            )
-            p.add_argument("--subgroup")
-            p.add_argument("--cert", help="uvdw/v1 certificate file")
-            p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
-        p.set_defaults(func=func)
-
-    u = top.add_parser("uvdw", help="decomposition certificates").add_subparsers(
-        dest="sub", required=True
-    )
-    p = u.add_parser("find", help="search for a decomposition certificate")
-    _add_common(p)
-    p.add_argument("--family", default="classical")
-    p.add_argument("--subgroup", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
-    p.add_argument("--output", help="write a uvdw/v1 file")
-    p.set_defaults(func=cmd_uvdw_find)
-
+    groups = {
+        word: top.add_parser(word, help=text).add_subparsers(dest="sub", required=True)
+        for word, text in GROUP_HELP.items()
+    }
+    for words, run, text, flags, refuses in COMMANDS:
+        *group, name = words.split()
+        p = (groups[group[0]] if group else top).add_parser(name, help=text)
+        for flag in COMMON_FLAGS + flags:
+            option, keywords = FLAGS[flag]
+            p.add_argument(option, **keywords)
+        p.set_defaults(run=run, refuses=refuses)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.max_order is None:
+            args.max_order = int(os.environ.get("SUPERCHAR_MAX_ORDER", DEFAULT_MAX_ORDER))
+        if min(args.max_order, args.cap, args.budget) <= 0:
+            raise SchemaError("caps must be positive")
+        try:
+            ok, payload, lines = args.run(args, _resolve_group(args))
+        except args.refuses as exc:
+            witness, line = _refusal(exc)
+            ok, payload, lines = False, {"ok": False, "witness": witness}, [line]
     except (SupercharError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    print(fileio.canonical_json(payload) if args.format == "json" else "\n".join(lines))
+    return EXIT_OK if ok else EXIT_FALSE
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
+from math import factorial, gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import IdentityNotZero, NotAGroup, NotASubgroup, OrderCapExceeded
@@ -290,6 +290,16 @@ def trivial_subgroup(G: FiniteGroup) -> Subgroup:
     return subgroup_from_elements(G, (0,), name="1")
 
 
+def derived_subgroup(G: FiniteGroup) -> Subgroup:
+    """The commutator subgroup [G, G]."""
+    gens = {
+        G.m(G.m(x, y), G.m(G.inverse(x), G.inverse(y)))
+        for x in range(G.order)
+        for y in range(G.order)
+    }
+    return subgroup_from_elements(G, closure(G, gens))
+
+
 def is_subgroup_chain(h1: Subgroup, h2: Subgroup) -> bool:
     """True iff h1 and h2 share the parent and h1's elements lie in h2."""
     return h1.parent == h2.parent and h1.element_set <= h2.element_set
@@ -373,51 +383,60 @@ def alternating_group(n: int) -> FiniteGroup:
     return _perm_table_group(perms, f"A{n}")
 
 
-def dihedral_group(n: int) -> FiniteGroup:
-    """Symmetries of the n-gon, order 2n; element i + n*j is r^i s^j."""
-    if n < 1:
-        raise ValueError("n must be positive")
-
-    def idx(i: int, j: int) -> int:
-        return i % n + n * (j % 2)
-
-    table = [[0] * (2 * n) for _ in range(2 * n)]
-    for i1 in range(n):
-        for j1 in range(2):
-            for i2 in range(n):
-                for j2 in range(2):
-                    i = i1 + i2 if j1 == 0 else i1 - i2
-                    table[idx(i1, j1)][idx(i2, j2)] = idx(i, j1 + j2)
-    return group_from_cayley(table, f"D{n}")
-
-
-def quaternion_group(order: int) -> FiniteGroup:
-    """Generalized quaternion group of the given order (multiple of 4, >= 8)."""
-    if order < 8 or order % 4 != 0:
-        raise ValueError("quaternion group order must be a multiple of 4, at least 8")
-    m = order // 2
+def _rotation_reflection_group(m: int, twist: int, name: str) -> FiniteGroup:
+    """Group of order 2m on elements i + m*j = a^i b^j with b a^i = a^-i b
+    and b^2 = a^twist."""
 
     def idx(i: int, j: int) -> int:
         return i % m + m * (j % 2)
 
-    table = [[0] * order for _ in range(order)]
+    table = [[0] * (2 * m) for _ in range(2 * m)]
     for i1 in range(m):
         for j1 in range(2):
             for i2 in range(m):
                 for j2 in range(2):
                     i = i1 + i2 if j1 == 0 else i1 - i2
                     if j1 == 1 and j2 == 1:
-                        i += m // 2  # b^2 = a^(m/2)
+                        i += twist
                     table[idx(i1, j1)][idx(i2, j2)] = idx(i, j1 + j2)
-    return group_from_cayley(table, f"Q{order}")
+    return group_from_cayley(table, name)
+
+
+def dihedral_group(n: int) -> FiniteGroup:
+    """Symmetries of the n-gon, order 2n; element i + n*j is r^i s^j."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return _rotation_reflection_group(n, 0, f"D{n}")
+
+
+def quaternion_group(order: int) -> FiniteGroup:
+    """Generalized quaternion group of the given order (multiple of 4, >= 8)."""
+    if order < 8 or order % 4 != 0:
+        raise ValueError("quaternion group order must be a multiple of 4, at least 8")
+    return _rotation_reflection_group(order // 2, order // 4, f"Q{order}")
+
+
+def _parse_builtin(spec: str) -> Tuple[str, int]:
+    spec = spec.strip().lower()
+    if len(spec) < 2 or spec[0] not in "csdqa" or not spec[1:].isdigit():
+        raise ValueError(f"unknown builtin group {spec!r}")
+    return spec[0], int(spec[1:])
+
+
+def builtin_order(spec: str) -> int:
+    """Order of ``builtin_group(spec)``, read off the spec without building
+    the group, so that an order cap can be checked first."""
+    kind, n = _parse_builtin(spec)
+    if kind in "cq":
+        return n
+    if kind == "d":
+        return 2 * n
+    return factorial(n) if kind == "s" else max(1, factorial(n) // 2)
 
 
 def builtin_group(spec: str) -> FiniteGroup:
     """Parse c5/s4/d4/q8/a4-style names into groups."""
-    spec = spec.strip().lower()
-    if len(spec) < 2 or spec[0] not in "csdqa" or not spec[1:].isdigit():
-        raise ValueError(f"unknown builtin group {spec!r}")
-    kind, n = spec[0], int(spec[1:])
+    kind, n = _parse_builtin(spec)
     if kind == "c":
         return cyclic_group(n)
     if kind == "s":

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from superchar import builtin_group, dixon_character_table, maximal_theory
+from superchar import builtin_group, dixon_character_table, enumerate_subgroups, maximal_theory
 from superchar import fileio
 from superchar.cli import main
 
@@ -222,3 +222,36 @@ def test_max_order_env_cap(capsys, monkeypatch):
     code, _, err = run(capsys, "group", "check", "--builtin", "s3")
     assert code == 2
     assert "exceeds cap" in err
+
+
+def test_order_cap_is_checked_before_the_group_is_built(capsys, monkeypatch):
+    def build(spec):
+        raise AssertionError(f"{spec} was built")
+
+    monkeypatch.setattr("superchar.cli.builtin_group", build)
+    monkeypatch.delenv("SUPERCHAR_MAX_ORDER", raising=False)
+    for spec in ("s6", "a7"):
+        code, out, err = run(capsys, "group", "check", "--builtin", spec)
+        assert code == 2 and out == ""
+        assert "exceeds cap" in err
+
+
+def test_max_order_reaches_the_subgroup_lattice(capsys, monkeypatch):
+    import superchar.cli as cli
+
+    seen = []
+
+    def lattice(G, max_order):
+        seen.append((G.order, max_order))
+        return enumerate_subgroups(G, max_order=max_order) if G.order <= 24 else ()
+
+    monkeypatch.setattr(cli, "enumerate_subgroups", lattice)
+    code, _, _ = run(capsys, "group", "info", "--builtin", "d101", "--max-order", "300")
+    assert code == 0
+    code, _, _ = run(
+        capsys, "sct", "compat", "--builtin", "s3", "--subgroup", "#1", "--max-order", "6"
+    )
+    assert code == 0
+    code, _, _ = run(capsys, "family", "check", "--builtin", "s4", "--max-order", "30")
+    assert code == 0
+    assert seen == [(202, 300), (6, 6), (24, 30)]
