@@ -5,14 +5,15 @@ Each subcommand is a row of ``COMMANDS``: words, handler, help, the flags
 it adds to the common ones (defined in ``FLAGS``) and the library
 exceptions it reports as verified-false.  The parser is built from these
 tables, and ``main`` runs every command the same way: check the caps,
-resolve the group (a builtin's order is checked before it is built), call
-the handler, print.  A handler ``(args, G) -> (ok, payload, lines)``
-computes and never prints: ``payload`` is the JSON output, ``lines`` the
-text output, and ``ok`` selects exit 0 or 1.
+resolve the group (its order is checked before it is built or
+validated), call the handler, print.  A handler
+``(args, G) -> (ok, payload, lines)`` computes and never prints:
+``payload`` is the JSON output, ``lines`` the text output, and ``ok``
+selects exit 0 or 1.
 
 Exit codes: 0 success/verified, 1 verified-false (witness printed),
-2 usage or validation error.  With ``--format json`` the output is
-canonical JSON, byte-stable for fixed inputs and seed.
+2 usage, validation or file-write error.  With ``--format json`` the
+output is canonical JSON, byte-stable for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -74,14 +75,14 @@ EXIT_USAGE = 2
 def _resolve_group(args) -> FiniteGroup:
     if (args.group is None) == (args.builtin is None):
         raise SchemaError("exactly one of --group FILE or --builtin NAME is required")
-    G = None if args.builtin else fileio.load_group(args.group)
-    order = builtin_order(args.builtin) if G is None else G.order
-    if order > args.max_order:
+    if args.group is not None:
+        return fileio.load_group(args.group, max_order=args.max_order)
+    if builtin_order(args.builtin, args.max_order) > args.max_order:
         raise SchemaError(
-            f"group order {order} exceeds cap {args.max_order} "
+            f"order of {args.builtin} exceeds cap {args.max_order} "
             f"(set SUPERCHAR_MAX_ORDER or --max-order to raise it)"
         )
-    return builtin_group(args.builtin) if G is None else G
+    return builtin_group(args.builtin)
 
 
 def _comma_list(text: str, convert, message: str) -> list:
@@ -109,12 +110,10 @@ def _parse_subgroup(args, G: FiniteGroup) -> Subgroup:
             raise SchemaError(f"subgroup index {k} out of range 0..{len(subs) - 1}")
         return subs[k]
     if len(spec) > 1 and spec[0] in "aA" and spec[1:].isdigit():
-        want = builtin_order(spec)  # the order of the alternating group A_k
         sub = derived_subgroup(G)
-        if sub.order != want:
+        if builtin_order(spec, G.order) != sub.order:  # |A_k| = k!/2
             raise SchemaError(
-                f"no alternating subgroup of order {want} (derived subgroup "
-                f"has order {sub.order})"
+                f"no alternating subgroup {spec} (derived subgroup has order {sub.order})"
             )
         return sub
     elements = _comma_list(spec, int, f"cannot parse subgroup spec {spec!r}")
@@ -489,7 +488,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except args.refuses as exc:
             witness, line = _refusal(exc)
             ok, payload, lines = False, {"ok": False, "witness": witness}, [line]
-    except (SupercharError, ValueError) as exc:
+    except (SupercharError, ValueError, OSError) as exc:  # OSError: a failed --output write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(fileio.canonical_json(payload) if args.format == "json" else "\n".join(lines))

@@ -16,8 +16,9 @@ from typing import Dict, Optional, Union
 
 from .chartab import CharacterTable, ClassFunction, verify_orthogonality
 from .cyclo import Cyclotomic
-from .errors import SchemaError
+from .errors import OrderCapExceeded, SchemaError
 from .groups import (
+    DEFAULT_SUBGROUP_CAP,
     FiniteGroup,
     Subgroup,
     conjugacy_classes,
@@ -97,7 +98,10 @@ def group_to_obj(G: FiniteGroup) -> dict:
     }
 
 
-def load_group(source: Union[str, Path, dict]) -> FiniteGroup:
+def load_group(source: Union[str, Path, dict], max_order: Optional[int] = None) -> FiniteGroup:
+    """Load and validate a group file.  With ``max_order``, a larger group
+    is refused with ``OrderCapExceeded`` before it is validated (a Cayley
+    table) or closed past the cap (generators)."""
     obj = _load_obj(source)
     _check_schema(obj, "group/v1")
     name = obj.get("name", "G")
@@ -105,13 +109,16 @@ def load_group(source: Union[str, Path, dict]) -> FiniteGroup:
     if "cayley" in obj:
         table = obj["cayley"]
         _require(isinstance(table, list) and table, "cayley must be a nonempty matrix")
+        if max_order is not None and len(table) > max_order:
+            raise OrderCapExceeded(f"group order {len(table)} exceeds cap {max_order}")
         return group_from_cayley(table, name)
     if "generators" in obj:
         degree = obj.get("degree")
         _require(isinstance(degree, int) and degree >= 0, "degree must be a nonnegative integer")
         gens = obj["generators"]
         _require(isinstance(gens, list), "generators must be a list of permutations")
-        return group_from_permutations(degree, gens, name)
+        cap = DEFAULT_SUBGROUP_CAP if max_order is None else max_order
+        return group_from_permutations(degree, gens, name, cap=cap)
     raise SchemaError("group file needs either 'cayley' or 'degree'+'generators'")
 
 

@@ -11,7 +11,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import factorial, gcd
+from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import IdentityNotZero, NotAGroup, NotASubgroup, OrderCapExceeded
@@ -243,18 +243,26 @@ class Subgroup:
 
 
 def closure(G: FiniteGroup, gens: Iterable[int], cap: int = DEFAULT_SUBGROUP_CAP) -> FrozenSet[int]:
-    """Smallest subgroup of G containing gens."""
-    elems = {0} | set(gens)
-    frontier = sorted(elems)
-    while frontier:
-        x = frontier.pop()
-        for y in list(elems):
-            for z in (G.mul[x][y], G.mul[y][x]):
-                if z not in elems:
-                    if len(elems) >= cap:
-                        raise OrderCapExceeded(f"subgroup closure exceeded cap {cap}")
-                    elems.add(z)
-                    frontier.append(z)
+    """Smallest subgroup of G containing gens.
+
+    A breadth-first walk from the identity under right multiplication by
+    the generators: in a finite group every inverse is a positive power,
+    so the products of generators are already the subgroup.  Costs
+    O(|H| * |gens|); raises once the subgroup would have more than cap
+    elements.
+    """
+    steps = sorted(set(gens) - {0})
+    elems = {0}
+    queue = deque([0])
+    while queue:
+        row = G.mul[queue.popleft()]
+        for g in steps:
+            z = row[g]
+            if z not in elems:
+                if len(elems) >= cap:
+                    raise OrderCapExceeded(f"subgroup closure exceeded cap {cap}")
+                elems.add(z)
+                queue.append(z)
     return frozenset(elems)
 
 
@@ -321,31 +329,34 @@ def enumerate_subgroups(
     """All subgroups of G, by layered generator addition.
 
     Seeds with the cyclic subgroups and repeatedly extends each known
-    subgroup by one extra element until nothing new appears.  Output is
-    canonically ordered by (order, element list).
+    subgroup by one extra element until nothing new appears.  Each
+    subgroup keeps the generators it was found from, so an extension is
+    the closure of those generators and one more element, taken once per
+    coset of the subgroup.  Output is canonically ordered by (order,
+    element list).
     """
     if G.order > max_order:
         raise OrderCapExceeded(
             f"group order {G.order} exceeds configured bound {max_order}"
         )
-    found: Dict[FrozenSet[int], None] = {}
-    layer = set()
+    found: Dict[FrozenSet[int], Tuple[int, ...]] = {}
     for g in range(G.order):
-        layer.add(closure(G, [g], cap))
-    for s in layer:
-        found[s] = None
+        found.setdefault(closure(G, [g], cap), (g,))
+    layer = dict(found)
     while layer:
-        nxt = set()
-        for s in layer:
+        nxt: Dict[FrozenSet[int], Tuple[int, ...]] = {}
+        for s, gens in layer.items():
+            # every element of the coset s*g extends s to the same subgroup
+            covered = set(s)
             for g in range(G.order):
-                if g in s:
+                if g in covered:
                     continue
-                t = closure(G, list(s) + [g], cap)
+                covered.update(G.mul[h][g] for h in s)
+                t = closure(G, gens + (g,), cap)
                 if t not in found:
                     if len(found) >= cap:
                         raise OrderCapExceeded(f"subgroup count exceeded cap {cap}")
-                    found[t] = None
-                    nxt.add(t)
+                    found[t] = nxt[t] = gens + (g,)
         layer = nxt
     sets = sorted(found, key=lambda s: (len(s), sorted(s)))
     return tuple(subgroup_from_elements(G, s) for s in sets)
@@ -423,15 +434,25 @@ def _parse_builtin(spec: str) -> Tuple[str, int]:
     return spec[0], int(spec[1:])
 
 
-def builtin_order(spec: str) -> int:
+def builtin_order(spec: str, cap: Optional[int] = None) -> int:
     """Order of ``builtin_group(spec)``, read off the spec without building
-    the group, so that an order cap can be checked first."""
+    the group, so that an order cap can be checked first.
+
+    With ``cap``, the factorial of an sN or aN is multiplied out only until
+    it passes ``cap``: an order above ``cap`` then comes back as some number
+    above ``cap``, at the cost of a few multiplications whatever N is.
+    """
     kind, n = _parse_builtin(spec)
     if kind in "cq":
         return n
     if kind == "d":
         return 2 * n
-    return factorial(n) if kind == "s" else max(1, factorial(n) // 2)
+    order = 1
+    for k in range(3 if kind == "a" else 2, n + 1):  # n!/2 = 3 * 4 * ... * n
+        order *= k
+        if cap is not None and order > cap:
+            break
+    return order
 
 
 def builtin_group(spec: str) -> FiniteGroup:

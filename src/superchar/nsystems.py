@@ -380,6 +380,35 @@ class CertificateSearch:
     exhausted: bool
 
 
+def _certificate_candidates(
+    family: CompatibleFamily,
+) -> Tuple[Tuple[Subgroup, int, Tuple[int, ...]], ...]:
+    """Candidate summands of every certificate search on the family.
+
+    One (subgroup, row, vector) per distinct irreducible decomposition
+    vector of an induced nontrivial linear character of a family subgroup,
+    largest first.  No candidate depends on the searched subgroup, so the
+    list is built once and cached on the family.
+    """
+    key = ("cert_candidates",)
+    if key not in family._cache:
+        table = family.top_theory.table
+        candidates: List[Tuple[Subgroup, int, Tuple[int, ...]]] = []
+        seen_vectors = set()
+        for s in family.subgroups:
+            s_table = family.theory_for(s).table
+            for row in range(len(s_table.rows)):
+                if s_table.degrees[row] != 1 or row == 0:
+                    continue  # only nontrivial linear characters can contribute
+                vec = character_multiplicities(induce(s_table.rows[row], s), table)
+                if vec not in seen_vectors:
+                    seen_vectors.add(vec)
+                    candidates.append((s, row, vec))
+        candidates.sort(key=lambda c: (-sum(c[2]), c[0].elements, c[1]))
+        family._cache[key] = tuple(candidates)
+    return family._cache[key]
+
+
 def find_uvdw_certificate(
     family: CompatibleFamily,
     sub: Subgroup,
@@ -388,9 +417,11 @@ def find_uvdw_certificate(
     """Search for a decomposition certificate for Sind 1_H - 1_G.
 
     Requires an all-classical family: candidate summands are inductions of
-    nontrivial linear characters of the family's subgroups, and the search
-    solves for a nonnegative-integer combination matching the target's
-    irreducible decomposition, depth-first within a node budget.
+    nontrivial linear characters of the family's subgroups, built once per
+    family (``_certificate_candidates``), and the search solves for a
+    nonnegative-integer combination matching the target's irreducible
+    decomposition, depth-first within a node budget.  Every certificate
+    found is validated by ``_certificate_data`` before it is returned.
     """
     top = family.top_theory
     if not all(family.theory_for(s).is_classical() for s in family.subgroups):
@@ -403,19 +434,7 @@ def find_uvdw_certificate(
     target_fn = sind_one.fn - top.superclass_function([1] * top.n_blocks).fn
     target = list(character_multiplicities(target_fn, table))
 
-    candidates: List[Tuple[Subgroup, int, Tuple[int, ...]]] = []
-    seen_vectors = set()
-    for s in family.subgroups:
-        s_table = family.theory_for(s).table
-        for row in range(len(s_table.rows)):
-            if s_table.degrees[row] != 1 or row == 0:
-                continue  # only nontrivial linear characters can contribute
-            vec = character_multiplicities(induce(s_table.rows[row], s), table)
-            if vec not in seen_vectors:
-                seen_vectors.add(vec)
-                candidates.append((s, row, vec))
-    candidates.sort(key=lambda c: (-sum(c[2]), c[0].elements, c[1]))
-
+    candidates = _certificate_candidates(family)
     nodes = 0
     exhausted = False
     solution: Optional[List[int]] = None

@@ -70,11 +70,11 @@ def subgroups_by_subsets(mul):
 
 def subgroups_by_pairs(mul):
     """Closures of all pairs of elements: every subgroup of a group whose
-    subgroups are all 2-generated (true for S4)."""
+    subgroups are all 2-generated (true for S4, A5 and dihedral groups)."""
     n = len(mul)
     found = {frozenset([0])}
     for a in range(n):
-        for b in range(n):
+        for b in range(a, n):  # the pair (b, a) has the same closure
             found.add(raw_closure(mul, (a, b)))
     return found
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -255,3 +256,58 @@ def test_max_order_reaches_the_subgroup_lattice(capsys, monkeypatch):
     code, _, _ = run(capsys, "family", "check", "--builtin", "s4", "--max-order", "30")
     assert code == 0
     assert seen == [(202, 300), (6, 6), (24, 30)]
+
+
+def test_factorial_orders_are_capped_without_being_multiplied_out(capsys, monkeypatch):
+    monkeypatch.delenv("SUPERCHAR_MAX_ORDER", raising=False)
+    start = time.perf_counter()
+    for spec in ("s2000", "a1000000"):
+        code, out, err = run(capsys, "group", "check", "--builtin", spec)
+        assert code == 2 and out == ""
+        assert "exceeds cap" in err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "compute", "--builtin", "s3"],
+        ["family", "check", "--builtin", "s3"],
+        ["nsys", "build", "--builtin", "s3", "--base", "1,1,1"],
+        ["uvdw", "find", "--builtin", "s3", "--subgroup", "trivial"],
+    ],
+    ids=["table-compute", "family-check", "nsys-build", "uvdw-find"],
+)
+def test_output_write_failure_exits_2(capsys, tmp_path, argv):
+    target = tmp_path / "missing-dir" / "x.json"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err
+
+
+def test_order_cap_is_checked_before_a_group_file_is_validated(capsys, tmp_path, monkeypatch):
+    import superchar.fileio
+    import superchar.groups
+
+    validated = []
+
+    def spy(table, name="G"):
+        validated.append(len(table))
+        raise AssertionError("table was validated")
+
+    monkeypatch.setattr(superchar.fileio, "group_from_cayley", spy)
+    monkeypatch.setattr(superchar.groups, "group_from_cayley", spy)
+    monkeypatch.delenv("SUPERCHAR_MAX_ORDER", raising=False)
+    cayley = tmp_path / "c201.json"
+    table = [[(i + j) % 201 for j in range(201)] for i in range(201)]
+    cayley.write_text(json.dumps({"schema": "group/v1", "name": "C201", "cayley": table}))
+    code, out, err = run(capsys, "group", "check", "--group", str(cayley))
+    assert code == 2 and out == "" and "exceeds cap" in err
+    # C2 wr C4 has order 64: generated past a cap of 50, never tabulated
+    gens = tmp_path / "wreath.json"
+    wreath = [[1, 0, 2, 3, 4, 5, 6, 7], [2, 3, 4, 5, 6, 7, 0, 1]]
+    gens.write_text(json.dumps({"schema": "group/v1", "degree": 8, "generators": wreath}))
+    code, out, err = run(capsys, "group", "check", "--group", str(gens), "--max-order", "50")
+    assert code == 2 and out == "" and "exceeded cap 50" in err
+    assert validated == []

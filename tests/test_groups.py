@@ -1,11 +1,16 @@
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     commutator_subgroup,
     conjugacy_partition,
     is_associative,
+    raw_closure,
     subgroups_by_pairs,
     subgroups_by_subsets,
 )
@@ -25,6 +30,7 @@ from superchar.errors import NotASubgroup, OrderCapExceeded
 from superchar.groups import (
     builtin_order,
     centralizer_order,
+    closure,
     derived_subgroup,
     element_order,
     subgroup_within,
@@ -182,3 +188,81 @@ def test_cyclic_group_is_commutative_with_cyclic_subgroup_lattice():
     assert all(G.m(a, b) == G.m(b, a) for a in range(12) for b in range(12))
     # one subgroup per divisor of 12
     assert len(enumerate_subgroups(G)) == 6
+
+
+def _agl1_5():
+    # AGL(1, 5): x -> x + 1 and x -> 2x, 2 a primitive root mod 5
+    return group_from_permutations(
+        5, [[(x + 1) % 5 for x in range(5)], [(2 * x) % 5 for x in range(5)]], name="agl1_5"
+    )
+
+
+def _lattice_digest(subs) -> str:
+    listing = json.dumps([list(s.elements) for s in subs], separators=(",", ":"))
+    return hashlib.sha256(listing.encode()).hexdigest()
+
+
+# canonical (order, element list) subgroup listings recorded with the
+# O(|H|^2) frontier-times-known closure that the generator walk replaced
+@pytest.mark.parametrize(
+    "make,count,digest",
+    [
+        (lambda: builtin_group("s4"), 30, "9e6b63dc7550f63107cba968098eb6f37db4ae35345c121eb7a01a07b8a99e7d"),
+        (lambda: builtin_group("a5"), 59, "23af70e6cfb670df2f6a9c79ba1367e6cd8333c1194dac271ed38b17756db40b"),
+        (lambda: builtin_group("d30"), 80, "87f8a568866d85513efcab9b7fa8197a9808a81c10fdb589708a9471bcce4dae"),
+        (lambda: builtin_group("q16"), 11, "f1b42ecd87ee1a65526483a11437d7b628f559e8c328b77b16cd7a8e51a0bfeb"),
+        (_agl1_5, 14, "c9218d14def472325cbb2e95d94a8978923e27252860c568f08ae827cbd6b701"),
+        (lambda: builtin_group("s5"), 156, "9c701557759a4f02f9f7bb9d77aff6032959cb3f53d4d6d21224146a318e045e"),
+    ],
+    ids=["s4", "a5", "d30", "q16", "agl1_5", "s5"],
+)
+def test_pinned_subgroup_lattices(make, count, digest):
+    subs = enumerate_subgroups(make())
+    assert (len(subs), _lattice_digest(subs)) == (count, digest)
+
+
+@pytest.mark.parametrize("spec", ["a5", "d30"])
+def test_subgroup_enumeration_oracle_two_generated(spec):
+    # every subgroup of A5 and of a dihedral group is generated by two elements
+    G = builtin_group(spec)
+    assert {s.element_set for s in enumerate_subgroups(G)} == subgroups_by_pairs(G.mul)
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_subgroup_counts_match_closed_forms():
+    # D_n (order 2n) has tau(n) + sigma(n) subgroups: one cyclic subgroup per
+    # divisor d of n, and n/d dihedral ones of order 2d
+    for n in (7, 12, 15, 30):
+        divisors = _divisors(n)
+        assert len(enumerate_subgroups(dihedral_group(n))) == len(divisors) + sum(divisors), n
+    assert len(enumerate_subgroups(builtin_group("s5"))) == 156
+
+
+_CLOSURE_GROUPS = {spec: builtin_group(spec) for spec in ("s4", "a5", "d12")}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spec=st.sampled_from(sorted(_CLOSURE_GROUPS)),
+    picks=st.lists(st.integers(min_value=0, max_value=10**6), max_size=4),
+    cap=st.integers(min_value=1, max_value=80),
+)
+def test_closure_matches_raw_closure(spec, picks, cap):
+    G = _CLOSURE_GROUPS[spec]
+    gens = [p % G.order for p in picks]
+    expected = raw_closure(G.mul, gens)
+    if len(expected) > cap:
+        with pytest.raises(OrderCapExceeded):
+            closure(G, gens, cap)
+    else:
+        assert closure(G, gens, cap) == expected
+
+
+def test_builtin_order_stops_at_the_cap():
+    assert builtin_order("s6", 1000) == 720 and builtin_order("a7", 10**4) == 2520
+    assert builtin_order("s2000", 200) > 200
+    assert builtin_order("a1000000", 200) > 200
+    assert builtin_order("d101", 200) == 202

@@ -1,14 +1,19 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import superchar.nsystems as nsystems
 from superchar import (
     DecompositionCertificate,
     InvalidCertificate,
     NSystem,
+    builtin_group,
     check_ach3,
     find_uvdw_certificate,
+    make_family,
     verify_artin_takagi,
     verify_heilbronn_stark,
     verify_uvdw,
@@ -141,7 +146,7 @@ def test_certificate_search_budget_exhaustion(s4_classical):
     search = find_uvdw_certificate(s4_classical, sub, budget=2)
     assert search.certificate is None
     assert search.exhausted
-    assert search.nodes > 2
+    assert search.nodes == 3  # the node past the budget is counted, then stops
 
 
 def test_verify_uvdw_known_case(s3_classical):
@@ -196,3 +201,50 @@ def test_theta_is_superclass_function_for_all_subgroups(s4_classical):
     for sub in s4_classical.subgroups[:8]:
         theta = ns.theta(sub)
         assert theta.theory == s4_classical.theory_for(sub)
+
+
+# Every subgroup's CertificateSearch (terms, nodes, exhausted) on the
+# classical family, recorded when the candidate list was rebuilt per search:
+# (subgroups, certificates found, total nodes, sha256 of the listing).
+@pytest.mark.parametrize(
+    "spec,subgroups,found,nodes,digest",
+    [
+        ("s4", 30, 30, 360, "df1eca58681811c31b766a0ad5ebc1945ce2370c9f2e0958e14d004e10f3d043"),
+        ("a5", 59, 29, 1157, "71d20061cdb3425c4c96eaeb8871bde7d0994cdfcea069c3d22917426e0e8516"),
+        ("q16", 11, 11, 140, "705c2c5c8db2d50194ae2f9511efa7f6b26eb52f8e922ed98b3bae3edeca3ce2"),
+    ],
+)
+def test_pinned_certificate_searches(spec, subgroups, found, nodes, digest):
+    fam = make_family(builtin_group(spec), "classical")
+    rows = []
+    for sub in fam.subgroups:
+        search = find_uvdw_certificate(fam, sub)
+        cert = search.certificate
+        terms = None if cert is None else [[list(h.elements), list(b)] for h, b in cert.terms]
+        rows.append([terms, search.nodes, search.exhausted])
+    listing = json.dumps(rows, separators=(",", ":")).encode()
+    assert (
+        len(rows),
+        sum(r[0] is not None for r in rows),
+        sum(r[1] for r in rows),
+        hashlib.sha256(listing).hexdigest(),
+    ) == (subgroups, found, nodes, digest)
+
+
+def test_certificate_candidates_are_induced_once_per_family(monkeypatch):
+    calls = []
+    induce = nsystems.induce
+
+    def spy(chi, sub):
+        calls.append(sub.elements)
+        return induce(chi, sub)
+
+    monkeypatch.setattr(nsystems, "induce", spy)
+    fam = make_family(builtin_group("s4"), "classical")
+    linear = sum(
+        sum(1 for d in fam.theory_for(s).table.degrees[1:] if d == 1) for s in fam.subgroups
+    )
+    for _ in range(2):
+        for sub in fam.subgroups:
+            assert find_uvdw_certificate(fam, sub).certificate is not None
+    assert len(calls) == linear  # one induction per nontrivial linear character
