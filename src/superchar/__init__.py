@@ -23,7 +23,6 @@ from .chartab import (
 )
 from .cyclo import Cyclotomic, cyclotomic_polynomial, zeta
 from .errors import (
-    EigensplitFailure,
     GroupMismatch,
     IncompatibleFamily,
     IncompatibleTheories,

@@ -9,7 +9,6 @@ through power maps.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,17 +17,8 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cyclo import ONE, ZERO, Cyclotomic, cyclo_sum
-from .errors import (
-    EigensplitFailure,
-    GroupMismatch,
-    NotACharacter,
-    NotASubgroup,
-    PrimeRejected,
-)
+from .errors import GroupMismatch, NotACharacter, NotASubgroup, PrimeRejected
 from .groups import ConjugacyClasses, FiniteGroup, Subgroup, conjugacy_classes
-
-DEFAULT_SEED = 0
-DEFAULT_SPLIT_BUDGET = 64
 
 
 @dataclass(frozen=True)
@@ -67,9 +57,6 @@ class ClassFunction:
     def scale(self, q) -> "ClassFunction":
         c = q if isinstance(q, Cyclotomic) else Cyclotomic.rational(q)
         return ClassFunction(self.classes, tuple(c * v for v in self.values))
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
 
 
 def trivial_character(classes: ConjugacyClasses) -> ClassFunction:
@@ -216,10 +203,6 @@ class CharacterTable:
     def __len__(self):
         return len(self.rows)
 
-    @property
-    def linear_rows(self) -> Tuple[int, ...]:
-        return tuple(i for i, d in enumerate(self.degrees) if d == 1)
-
 
 def _canonical_rows(classes: ConjugacyClasses, rows: List[ClassFunction]) -> CharacterTable:
     trivial = trivial_character(classes)
@@ -240,12 +223,18 @@ def _canonical_rows(classes: ConjugacyClasses, rows: List[ClassFunction]) -> Cha
 
 
 def dixon_character_table(
-    G: FiniteGroup,
-    prime: Optional[int] = None,
-    seed: int = DEFAULT_SEED,
-    split_budget: int = DEFAULT_SPLIT_BUDGET,
+    G: FiniteGroup, prime: Optional[int] = None, seed: int = 0
 ) -> CharacterTable:
-    """Exact character table of G via Dixon's method."""
+    """Exact character table of G via Dixon's method.
+
+    Splitting the whole space by M_1, ..., M_{r-1} in turn always ends in
+    lines.  p = 1 mod e with e = exponent(G), so p does not divide e, nor
+    |G| (every prime factor of |G| divides e).  The centre of GF(p)G is
+    then semisimple (Maschke) and split (e | p - 1, Brauer), so its r
+    central characters are distinct mod p and the class sums separate
+    them.  The split is deterministic: ``seed`` is accepted for callers
+    that pass one and has no effect.
+    """
     cls = conjugacy_classes(G)
     r = len(cls)
     n = G.order
@@ -300,19 +289,7 @@ def dixon_character_table(
         spaces = [piece for sp in spaces for piece in split(sp, mats[i])]
         if all(len(sp) == 1 for sp in spaces):
             break
-    if not all(len(sp) == 1 for sp in spaces):
-        rng = random.Random(seed)
-        for _ in range(split_budget):
-            coeffs = [rng.randrange(p) for _ in range(r)]
-            combo = [
-                [sum(c * mats[i][j][k] for i, c in enumerate(coeffs)) % p for k in range(r)]
-                for j in range(r)
-            ]
-            spaces = [piece for sp in spaces for piece in split(sp, combo)]
-            if all(len(sp) == 1 for sp in spaces):
-                break
-        else:
-            raise EigensplitFailure(seed, split_budget)
+    assert all(len(sp) == 1 for sp in spaces), "common eigenspaces are not lines"
 
     sizes = cls.sizes
     inv_sizes = [pow(s, -1, p) for s in sizes]

@@ -13,7 +13,7 @@ selects exit 0 or 1.
 
 Exit codes: 0 success/verified, 1 verified-false (witness printed),
 2 usage, validation or file-write error.  With ``--format json`` the
-output is canonical JSON, byte-stable for fixed inputs and seed.
+output is canonical JSON, byte-stable for fixed inputs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import fileio
-from .chartab import DEFAULT_SEED, dixon_character_table, verify_orthogonality
+from .chartab import dixon_character_table, verify_orthogonality
 from .errors import (
     IncompatibleFamily,
     NotAGroup,
@@ -125,7 +125,7 @@ def _family_subgroup(args, G: FiniteGroup, family) -> Subgroup:
 
 
 def _table(args, G: FiniteGroup):
-    return dixon_character_table(G, prime=args.prime, seed=args.seed)
+    return dixon_character_table(G, prime=args.prime)
 
 
 def _theory_from_choice(table, choice: str):
@@ -140,7 +140,7 @@ def _subgroup_and_theories(args, G: FiniteGroup):
     """--subgroup, the --theory of G and the --sub-theory of the subgroup."""
     sub = _parse_subgroup(args, G)
     big_theory = _theory_from_choice(_table(args, G), args.theory)
-    sub_table = dixon_character_table(sub.local, seed=args.seed)
+    sub_table = dixon_character_table(sub.local)
     sub_theory = _theory_from_choice(sub_table, args.sub_theory)
     return sub, big_theory, sub_theory
 
@@ -148,8 +148,8 @@ def _subgroup_and_theories(args, G: FiniteGroup):
 def _family(args, G: FiniteGroup):
     if args.family in ("classical", "maximal"):
         subgroups = enumerate_subgroups(G, max_order=args.max_order)
-        return make_family(G, args.family, subgroups=subgroups, prime=args.prime, seed=args.seed)
-    return fileio.load_family(G, args.family, prime=args.prime, seed=args.seed)
+        return make_family(G, args.family, subgroups=subgroups, prime=args.prime)
+    return fileio.load_family(G, args.family, prime=args.prime)
 
 
 def _block_values(function, label: str = "") -> Tuple[dict, List[str]]:
@@ -394,7 +394,7 @@ FLAGS = {
     "group": ("--group", dict(help="group file (group/v1 JSON)")),
     "builtin": ("--builtin", dict(help="built-in group: cN, sN, dN, qN or aN")),
     "format": ("--format", dict(choices=["text", "json"], default="text")),
-    "seed": ("--seed", dict(type=int, default=DEFAULT_SEED)),
+    "seed": ("--seed", dict(type=int, default=0, help="accepted for compatibility; has no effect")),
     "prime": ("--prime", dict(type=int, help="Dixon prime override")),
     "max-order": ("--max-order", dict(type=int, help="group order cap (else $SUPERCHAR_MAX_ORDER)")),
     "output": ("--output", dict(help="write the result to this file")),

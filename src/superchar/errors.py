@@ -30,18 +30,6 @@ class PrimeRejected(SupercharError):
     """A user-supplied prime fails the admissibility conditions."""
 
 
-class EigensplitFailure(SupercharError):
-    """Random eigenspace splitting exhausted its retry budget."""
-
-    def __init__(self, seed: int, budget: int):
-        super().__init__(
-            f"could not split class-matrix eigenspaces after {budget} "
-            f"random combinations (seed {seed})"
-        )
-        self.seed = seed
-        self.budget = budget
-
-
 class GroupMismatch(SupercharError):
     """Two class functions live on different groups."""
 

@@ -24,6 +24,7 @@ from .groups import (
     conjugacy_classes,
     group_from_cayley,
     group_from_permutations,
+    subgroup_from_elements,
 )
 from .nsystems import DecompositionCertificate, NSystem
 from .theories import (
@@ -242,7 +243,6 @@ def load_family(
     G: FiniteGroup,
     source: Union[str, Path, dict],
     prime: Optional[int] = None,
-    seed: int = 0,
 ) -> CompatibleFamily:
     obj = _load_obj(source)
     _check_schema(obj, "family/v1")
@@ -256,8 +256,6 @@ def load_family(
         )
         wanted[frozenset(entry["subgroup"])] = entry["theory"]
 
-    from .groups import subgroup_from_elements
-
     subgroups = tuple(
         subgroup_from_elements(G, els) for els in sorted(wanted, key=lambda s: (len(s), sorted(s)))
     )
@@ -265,7 +263,7 @@ def load_family(
     def pick(sub: Subgroup, table: CharacterTable) -> SupercharacterTheory:
         return load_theory(table, wanted[sub.element_set])
 
-    return make_family(G, pick, subgroups=subgroups, prime=prime, seed=seed)
+    return make_family(G, pick, subgroups=subgroups, prime=prime)
 
 
 def save_family(family: CompatibleFamily, path: Union[str, Path]):

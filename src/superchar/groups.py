@@ -11,7 +11,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
+from math import lcm
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import IdentityNotZero, NotAGroup, NotASubgroup, OrderCapExceeded
@@ -36,9 +36,6 @@ class FiniteGroup:
     def inverse(self, a: int) -> int:
         return self.inv[a]
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def conjugate(self, g: int, h: int) -> int:
         """h g h^-1."""
         return self.mul[self.mul[h][g]][self.inv[h]]
@@ -53,10 +50,6 @@ def element_order(G: FiniteGroup, g: int) -> int:
         x = G.mul[x][g]
         k += 1
     return k
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 def group_from_cayley(table: Sequence[Sequence[int]], name: str = "G") -> FiniteGroup:
@@ -99,7 +92,7 @@ def group_from_cayley(table: Sequence[Sequence[int]], name: str = "G") -> Finite
     exponent = 1
     group = FiniteGroup(name, n, mul, tuple(inv), 1)
     for g in range(n):
-        exponent = _lcm(exponent, element_order(group, g))
+        exponent = lcm(exponent, element_order(group, g))
     return FiniteGroup(name, n, mul, tuple(inv), exponent)
 
 
@@ -280,8 +273,6 @@ def subgroup_from_elements(
         for b in elems:
             if G.mul[a][b] not in pos:
                 raise NotASubgroup(f"not closed under multiplication at ({a},{b})")
-    if G.order % len(elems) != 0:
-        raise NotASubgroup("Lagrange check failed")  # unreachable for closed sets
     if len(elems) == G.order:
         return Subgroup(G, elems, G)  # the whole group embeds as itself
     table = [[pos[G.mul[a][b]] for b in elems] for a in elems]

@@ -63,7 +63,7 @@ class SupercharacterTheory:
         "class_blocks",
         "element_blocks",
         "sigmas",
-        "_block_of_class",
+        "_superclass_index",
     )
 
     def __init__(
@@ -87,7 +87,7 @@ class SupercharacterTheory:
         for b, block in enumerate(class_blocks):
             for ci in block:
                 block_of[ci] = b
-        self._block_of_class = tuple(block_of)
+        self._superclass_index = tuple(block_of)
 
     # -- structure -------------------------------------------------------
 
@@ -103,12 +103,9 @@ class SupercharacterTheory:
     def n_blocks(self) -> int:
         return len(self.irr_blocks)
 
-    def block_of_class(self, class_index: int) -> int:
-        return self._block_of_class[class_index]
-
     def superclass_of(self, g: int) -> int:
         """Index of the K-block containing element g."""
-        return self._block_of_class[self.classes.class_of[g]]
+        return self._superclass_index[self.classes.class_of[g]]
 
     def superclass_elements(self, k: int) -> Tuple[int, ...]:
         return self.element_blocks[k]
@@ -150,7 +147,7 @@ class SupercharacterTheory:
             v if isinstance(v, Cyclotomic) else Cyclotomic.rational(v)
             for v in block_values
         ]
-        values = tuple(vals[self._block_of_class[ci]] for ci in range(len(self.classes)))
+        values = tuple(vals[self._superclass_index[ci]] for ci in range(len(self.classes)))
         return SuperclassFunction(self, ClassFunction(self.classes, values))
 
     def trivial_superclass_function(self) -> "SuperclassFunction":
@@ -180,9 +177,6 @@ class SuperclassFunction:
 
     def block_values(self) -> Tuple[Cyclotomic, ...]:
         return tuple(self.fn.values[block[0]] for block in self.theory.class_blocks)
-
-    def at_element(self, g: int) -> Cyclotomic:
-        return self.fn.at_element(g)
 
 
 def make_theory(
@@ -454,9 +448,6 @@ class CompatibleFamily:
             for h2 in self.subgroups:
                 if h1.order < h2.order and is_subgroup_chain(h1, h2):
                     yield h1, h2
-
-    def superinduce_to_top(self, phi: SuperclassFunction, sub: Subgroup) -> SuperclassFunction:
-        return superinduce(phi, self.top_theory, sub.elements)
 
 
 def make_family(

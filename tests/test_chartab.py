@@ -23,6 +23,7 @@ from superchar import (
 from superchar.chartab import ClassFunction
 from superchar.cyclo import zeta
 from superchar.errors import PrimeRejected
+from superchar.fileio import table_fingerprint
 
 KNOWN_DEGREES = {
     "c2": [1, 1],
@@ -86,6 +87,10 @@ def test_dixon_independent_of_seed_and_prime():
     base = dixon_character_table(G)
     assert dixon_character_table(G, seed=5).rows == base.rows
     assert dixon_character_table(G, prime=97).rows == base.rows
+    for spec in ("d30", "q16", "a5"):
+        G = builtin_group(spec)
+        prints = {table_fingerprint(dixon_character_table(G, seed=s)) for s in (0, 5, 65535)}
+        assert len(prints) == 1, spec
 
 
 def test_dixon_rejects_bad_primes():

@@ -38,6 +38,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     garbled.write_text("{")
     code, _, err = run(capsys, "table", "compute", "--group", str(garbled))
     assert code == 2
+    code, out, err = run(capsys, "table", "compute", "--builtin", "d2", "--prime", "3")
+    assert code == 2 and out == ""
+    assert err == "error: 3 is not greater than 2*sqrt(4)\n"
 
 
 def test_group_info_lists_subgroups(capsys):
@@ -195,6 +198,24 @@ def test_uvdw_find_and_verify_via_file(capsys, tmp_path):
         "--family", "classical", "--base", "2,1,3", "--cert", str(cert),
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "blocks,message",
+    [([], "certificate term with no supercharacter blocks"), (["X99"], "block index 99 out of range for term")],
+    ids=["no-blocks", "block-out-of-range"],
+)
+def test_nsys_verify_invalid_certificate_exits_2(capsys, tmp_path, blocks, message):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(
+        {"schema": "uvdw/v1", "H": [0], "terms": [{"Hi": [0, 1], "sigma_blocks": blocks}]}
+    ))
+    code, out, err = run(
+        capsys, "nsys", "verify", "--theorem", "uvdw", "--builtin", "s3",
+        "--base", "1,1,1", "--cert", str(cert),
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_uvdw_find_budget_exhausted(capsys):

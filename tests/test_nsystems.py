@@ -18,6 +18,7 @@ from superchar import (
     verify_heilbronn_stark,
     verify_uvdw,
 )
+from superchar import fileio
 from superchar.errors import SupercharError
 from superchar.nsystems import _sind_sigma
 
@@ -193,6 +194,21 @@ def test_invalid_certificate_wrong_identity(s3_classical):
     ns = NSystem(fam, [1, 0, 2])
     with pytest.raises(InvalidCertificate):
         verify_uvdw(ns, wrong)
+
+
+@pytest.mark.parametrize(
+    "blocks,message",
+    [([], "no supercharacter blocks"), (["X99"], "block index 99 out of range")],
+    ids=["no-blocks", "block-out-of-range"],
+)
+def test_invalid_certificate_bad_term_blocks(s3_classical, blocks, message):
+    cert = fileio.load_certificate(
+        s3_classical,
+        {"schema": "uvdw/v1", "H": [0], "terms": [{"Hi": [0, 1], "sigma_blocks": blocks}]},
+    )
+    with pytest.raises(InvalidCertificate) as exc:
+        verify_uvdw(NSystem(s3_classical, [1, 1, 1]), cert)
+    assert message in str(exc.value)
 
 
 def test_theta_is_superclass_function_for_all_subgroups(s4_classical):

@@ -6,6 +6,7 @@ import pytest
 from oracles import superinduce_via_reciprocity
 from superchar import (
     IncompatibleFamily,
+    IncompatibleTheories,
     NotAPartition,
     NotASupercharacterTheory,
     builtin_group,
@@ -21,6 +22,7 @@ from superchar import (
     srestrict,
     subgroup_from_elements,
     superinduce,
+    whole_subgroup,
 )
 from superchar.errors import NotASuperclassFunction, OrderCapExceeded
 from superchar.theories import set_partitions
@@ -117,6 +119,21 @@ def test_compatibility_and_witness():
     assert not ok
     assert witness is not None
     assert big.superclass_of(c4.to_parent(witness)) is not None
+
+
+def test_superinduce_and_srestrict_reject_incompatible_theories():
+    c4 = builtin_group("c4")
+    big = classical_theory(dixon_character_table(c4))
+    whole = whole_subgroup(c4)
+    sub_theory = maximal_theory(dixon_character_table(whole.local))
+    ok, witness = is_compatible(sub_theory, big, whole.elements)
+    assert not ok and witness == 1
+    with pytest.raises(IncompatibleTheories) as exc:
+        superinduce(sub_theory.trivial_superclass_function(), big, whole.elements)
+    assert exc.value.witness == witness
+    with pytest.raises(IncompatibleTheories) as exc:
+        srestrict(big.trivial_superclass_function(), sub_theory, whole.elements)
+    assert exc.value.witness == witness
 
 
 def test_superclass_function_validation():
