@@ -16,6 +16,7 @@ from .chartab import (
     has_only_linear_constituents,
     induce,
     inner_product,
+    linear_combination,
     regular_character,
     restrict,
     trivial_character,

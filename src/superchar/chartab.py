@@ -5,6 +5,9 @@ class-multiplication matrices over a prime field GF(p) with p = 1 mod
 exponent(G), degrees recovered from column orthogonality, and values
 lifted to exact cyclotomic numbers by counting eigenvalue multiplicities
 through power maps.
+
+Every sum of class functions is one ``linear_combination``: one
+``cyclo_sum`` per class, the kernel inner products and induction use.
 """
 
 from __future__ import annotations
@@ -40,23 +43,22 @@ class ClassFunction:
     def degree_value(self) -> Cyclotomic:
         return self.values[0]
 
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        if self.classes != other.classes:
-            raise GroupMismatch("class functions live on different groups")
-        return ClassFunction(
-            self.classes, tuple(a + b for a, b in zip(self.values, other.values))
-        )
 
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        if self.classes != other.classes:
-            raise GroupMismatch("class functions live on different groups")
-        return ClassFunction(
-            self.classes, tuple(a - b for a, b in zip(self.values, other.values))
-        )
+def linear_combination(coeffs: Sequence, fns: Sequence[ClassFunction]) -> ClassFunction:
+    """sum_i coeffs[i] * fns[i], one ``cyclo_sum`` per class.
 
-    def scale(self, q) -> "ClassFunction":
-        c = q if isinstance(q, Cyclotomic) else Cyclotomic.rational(q)
-        return ClassFunction(self.classes, tuple(c * v for v in self.values))
+    Coefficients are ints or Fractions; every function must live on the
+    same conjugacy classes, and there must be one coefficient per function.
+    """
+    if not fns or len(coeffs) != len(fns):
+        raise ValueError(f"{len(coeffs)} coefficients for {len(fns)} class functions")
+    classes = fns[0].classes
+    if any(f.classes != classes for f in fns):
+        raise GroupMismatch("class functions live on different groups")
+    if len(fns) == 1 and coeffs[0] == 1:
+        return fns[0]  # values are canonical already
+    columns = zip(*(f.values for f in fns))
+    return ClassFunction(classes, tuple(cyclo_sum(col, coeffs) for col in columns))
 
 
 def trivial_character(classes: ConjugacyClasses) -> ClassFunction:

@@ -44,6 +44,17 @@ def _require(cond: bool, message: str):
         raise SchemaError(message)
 
 
+def _int_list(value, what: str) -> list:
+    ok = isinstance(value, list) and all(type(x) is int for x in value)
+    _require(ok, f"{what} must be a list of integers")
+    return value
+
+
+def _int_lists(value, what: str) -> list:
+    _require(isinstance(value, list), f"{what} must be a list of integer lists")
+    return [_int_list(v, f"each entry of {what}") for v in value]
+
+
 def _load_obj(source: Union[str, Path, dict]) -> dict:
     if isinstance(source, dict):
         return source
@@ -75,12 +86,13 @@ def encode_cyclotomic(v: Cyclotomic) -> dict:
 
 def decode_cyclotomic(obj: dict) -> Cyclotomic:
     _require(isinstance(obj, dict) and "order" in obj and "coeffs" in obj, "bad cyclotomic value")
+    _require(isinstance(obj["coeffs"], list), "cyclotomic coefficients must be a list")
     e = obj["order"]
-    _require(isinstance(e, int) and e >= 1, "cyclotomic order must be a positive integer")
+    _require(type(e) is int and e >= 1, "cyclotomic order must be a positive integer")
     terms = {}
     for k, pair in enumerate(obj["coeffs"]):
         _require(
-            isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, int) for x in pair),
+            isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair),
             "cyclotomic coefficients must be [num, den] integer pairs",
         )
         _require(pair[1] != 0, "zero denominator in cyclotomic coefficient")
@@ -112,12 +124,11 @@ def load_group(source: Union[str, Path, dict], max_order: Optional[int] = None) 
         _require(isinstance(table, list) and table, "cayley must be a nonempty matrix")
         if max_order is not None and len(table) > max_order:
             raise OrderCapExceeded(f"group order {len(table)} exceeds cap {max_order}")
-        return group_from_cayley(table, name)
+        return group_from_cayley(_int_lists(table, "cayley"), name)
     if "generators" in obj:
         degree = obj.get("degree")
-        _require(isinstance(degree, int) and degree >= 0, "degree must be a nonnegative integer")
-        gens = obj["generators"]
-        _require(isinstance(gens, list), "generators must be a list of permutations")
+        _require(type(degree) is int and degree >= 0, "degree must be a nonnegative integer")
+        gens = _int_lists(obj["generators"], "generators")
         cap = DEFAULT_SUBGROUP_CAP if max_order is None else max_order
         return group_from_permutations(degree, gens, name, cap=cap)
     raise SchemaError("group file needs either 'cayley' or 'degree'+'generators'")
@@ -214,7 +225,8 @@ def load_theory(table: CharacterTable, source: Union[str, Path, dict]) -> Superc
             "theory file was written against a differently-ordered table",
         )
     _require("irr_partition" in obj and "class_partition" in obj, "theory file needs both partitions")
-    return theory_from_class_blocks(table, obj["irr_partition"], obj["class_partition"])
+    irr, blocks = (_int_lists(obj[k], k) for k in ("irr_partition", "class_partition"))
+    return theory_from_class_blocks(table, irr, blocks)
 
 
 def save_theory(theory: SupercharacterTheory, path: Union[str, Path]):
@@ -254,7 +266,7 @@ def load_family(
             isinstance(entry, dict) and "subgroup" in entry and "theory" in entry,
             "each family entry needs 'subgroup' and 'theory'",
         )
-        wanted[frozenset(entry["subgroup"])] = entry["theory"]
+        wanted[frozenset(_int_list(entry["subgroup"], "family entry subgroup"))] = entry["theory"]
 
     subgroups = tuple(
         subgroup_from_elements(G, els) for els in sorted(wanted, key=lambda s: (len(s), sorted(s)))
@@ -299,7 +311,7 @@ def load_nsystem(family: CompatibleFamily, source: Union[str, Path, dict]) -> NS
     for x in range(n_blocks):
         key = f"X{x}"
         _require(key in base_obj, f"missing base value for block {key}")
-        _require(isinstance(base_obj[key], int), f"base value for {key} must be an integer")
+        _require(type(base_obj[key]) is int, f"base value for {key} must be an integer")
         base.append(base_obj[key])
     _require(len(base_obj) == n_blocks, "extra base entries for unknown blocks")
     return NSystem(family, base)
@@ -332,14 +344,16 @@ def load_certificate(
     obj = _load_obj(source)
     _check_schema(obj, "uvdw/v1")
     _require("H" in obj and "terms" in obj, "certificate file needs 'H' and 'terms'")
-    sub = family.subgroup_by_elements(obj["H"])
+    sub = family.subgroup_by_elements(_int_list(obj["H"], "certificate H"))
+    _require(isinstance(obj["terms"], list), "certificate terms must be a list")
     terms = []
     for term in obj["terms"]:
         _require(
             isinstance(term, dict) and "Hi" in term and "sigma_blocks" in term,
             "each term needs 'Hi' and 'sigma_blocks'",
         )
-        hi = family.subgroup_by_elements(term["Hi"])
+        hi = family.subgroup_by_elements(_int_list(term["Hi"], "certificate term Hi"))
+        _require(isinstance(term["sigma_blocks"], list), "sigma_blocks must be a list")
         blocks = []
         for b in term["sigma_blocks"]:
             _require(

@@ -263,6 +263,10 @@ def subgroup_from_elements(
     G: FiniteGroup, elements: Iterable[int], name: Optional[str] = None
 ) -> Subgroup:
     """Build the subgroup on a closed element set (closure is verified)."""
+    elements = list(elements)
+    bad = next((g for g in elements if type(g) is not int or not 0 <= g < G.order), None)
+    if bad is not None:
+        raise NotASubgroup(f"{bad!r} is not an element of {G.name} (0..{G.order - 1})")
     elems = tuple(sorted(set(elements)))
     if not elems or elems[0] != 0:
         raise NotASubgroup("subgroup must contain the identity")

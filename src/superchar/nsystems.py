@@ -5,6 +5,10 @@ group's theory; the assignment extends to every subgroup in a compatible
 family by linearity and superinduction invariance, which makes the
 Artin-Takagi decomposition, the Heilbronn-Stark restriction identity and
 the Uchida-van-der-Waall inequality machine-checkable statements.
+
+An NSystem is one coefficient vector coeffs[X] = n(G, sigma_X)/sigma_X(1),
+computed once; Theta_G = sum_X coeffs[X] sigma_X, n(H, sigma_Y) and the
+Artin-Takagi check all read it.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .chartab import (
     has_only_linear_constituents,
     induce,
     inner_product,
+    linear_combination,
     pull_back,
     regular_character,
 )
@@ -88,12 +93,9 @@ class NSystem:
             )
         self.family = family
         self.base = tuple(int(b) for b in base)
-        values = None
-        for x, sigma in enumerate(top.sigmas):
-            term = sigma.scale(Fraction(self.base[x]) / _sigma_degree(sigma))
-            values = term if values is None else values + term
+        self.coeffs = tuple(Fraction(b) / _sigma_degree(s) for b, s in zip(self.base, top.sigmas))
         # the derived top function must itself be a superclass function
-        self.theta_top = SuperclassFunction(top, values)
+        self.theta_top = SuperclassFunction(top, linear_combination(self.coeffs, top.sigmas))
         self._theta_restrictions: Dict[Tuple[int, ...], SuperclassFunction] = {}
         self._ach3_report: Optional["CheckReport"] = None
 
@@ -135,15 +137,8 @@ class NSystem:
 
     def n_sigma(self, sub: Subgroup, y: int) -> Fraction:
         """n(H, sigma_Y) through the cached restriction matrix."""
-        top = self.family.top_theory
         rmat = _restriction_matrix(self.family, sub)
-        return sum(
-            (
-                Fraction(self.base[x]) / _sigma_degree(top.sigmas[x]) * rmat[x][y]
-                for x in range(top.n_blocks)
-            ),
-            Fraction(0),
-        )
+        return sum((c * rmat[x][y] for x, c in enumerate(self.coeffs)), Fraction(0))
 
     # -- derived supercharacters ---------------------------------------------
 
@@ -154,7 +149,7 @@ class NSystem:
         alternate form sum_Y n(G, Sind sigma_Y)/sigma_Y(1) * sigma_Y.
         """
         theory = self.family.theory_for(sub)
-        values = None
+        coeffs = []
         for y, sigma in enumerate(theory.sigmas):
             n_def = self.n_sigma(sub, y)
             n_alt = inner_product(
@@ -163,9 +158,8 @@ class NSystem:
             assert n_alt is not None and n_def == n_alt, (
                 "definition and superinduction forms of n(H, sigma) disagree"
             )
-            term = sigma.scale(n_def / _sigma_degree(sigma))
-            values = term if values is None else values + term
-        return SuperclassFunction(theory, values)
+            coeffs.append(n_def / _sigma_degree(sigma))
+        return SuperclassFunction(theory, linear_combination(coeffs, theory.sigmas))
 
 
 # -- verifier reports -------------------------------------------------------
@@ -228,12 +222,7 @@ def verify_artin_takagi(ns: NSystem) -> CheckReport:
     n_reg = ns.n_top(reg)
     base_sum = Fraction(sum(ns.base))
     weighted = sum(
-        (
-            Fraction(ns.base[x])
-            / _sigma_degree(top.sigmas[x])
-            * inner_product(top.sigmas[x], top.sigmas[x]).as_rational()
-            for x in range(top.n_blocks)
-        ),
+        (c * inner_product(s, s).as_rational() for c, s in zip(ns.coeffs, top.sigmas)),
         Fraction(0),
     )
     ok = n_reg == base_sum == weighted
@@ -250,8 +239,7 @@ def verify_artin_takagi(ns: NSystem) -> CheckReport:
 
 def verify_heilbronn_stark(ns: NSystem, sub: Subgroup) -> CheckReport:
     """Theta_G restricted to H equals Theta_H, pointwise and exact."""
-    theory = ns.family.theory_for(sub)
-    lhs = srestrict(ns.theta_top, theory, sub.elements)
+    lhs = ns._theta_restricted(sub)
     rhs = ns.theta(sub)
     mismatches = [
         {
@@ -296,18 +284,15 @@ def _certificate_data(family: CompatibleFamily, cert: DecompositionCertificate) 
     h_theory = family.theory_for(cert.subgroup)
     one_h = h_theory.trivial_superclass_function()
     sind_one = superinduce(one_h, top, cert.subgroup.elements)
-    total = top.superclass_function([1] * top.n_blocks).fn
     term_data = []
     for hi, blocks in cert.terms:
         theory_i = family.theory_for(hi)
         if not blocks:
             raise InvalidCertificate("certificate term with no supercharacter blocks")
-        sigma_i = None
         for b in blocks:
             if not 0 <= b < theory_i.n_blocks:
                 raise InvalidCertificate(f"block index {b} out of range for term")
-            part = theory_i.sigmas[b]
-            sigma_i = part if sigma_i is None else sigma_i + part
+        sigma_i = linear_combination([1] * len(blocks), [theory_i.sigmas[b] for b in blocks])
         if not has_only_linear_constituents(sigma_i, theory_i.table):
             raise InvalidCertificate(
                 f"term on subgroup {list(hi.elements)} has a nonlinear constituent"
@@ -315,8 +300,8 @@ def _certificate_data(family: CompatibleFamily, cert: DecompositionCertificate) 
         phi_i = SuperclassFunction(theory_i, sigma_i)
         sind_i = superinduce(phi_i, top, hi.elements)
         term_data.append({"subgroup": hi, "phi": phi_i, "sind": sind_i})
-        total = total + sind_i.fn
-    if total != sind_one.fn:
+    parts = [top.trivial_superclass_function().fn] + [t["sind"].fn for t in term_data]
+    if linear_combination([1] * len(parts), parts) != sind_one.fn:
         raise InvalidCertificate(
             "certificate identity Sind 1_H = 1_G + sum Sind sigma_i fails"
         )
@@ -332,7 +317,7 @@ def verify_uvdw(ns: NSystem, cert: DecompositionCertificate) -> CheckReport:
     family = ns.family
     data = _certificate_data(family, cert)
     top = family.top_theory
-    one_g = top.superclass_function([1] * top.n_blocks)
+    one_g = top.trivial_superclass_function()
     n_one_g = ns.n_top(one_g)
     n_sind_one = ns.n_top(data["sind_one"])
     term_top = [ns.n_top(t["sind"]) for t in data["terms"]]
@@ -431,7 +416,7 @@ def find_uvdw_certificate(
     sind_one = superinduce(
         h_theory.trivial_superclass_function(), top, sub.elements
     )
-    target_fn = sind_one.fn - top.superclass_function([1] * top.n_blocks).fn
+    target_fn = linear_combination([1, -1], [sind_one.fn, top.trivial_superclass_function().fn])
     target = list(character_multiplicities(target_fn, table))
 
     candidates = _certificate_candidates(family)

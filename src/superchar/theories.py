@@ -17,6 +17,7 @@ from .chartab import (
     CharacterTable,
     ClassFunction,
     dixon_character_table,
+    linear_combination,
     pull_back,
 )
 from .cyclo import Cyclotomic, cyclo_sum
@@ -205,19 +206,10 @@ def make_theory(
             {"x_blocks": len(irr_blocks), "k_blocks": len(elem_blocks)},
         )
     cls = table.classes
-    sigmas = []
-    for xb in irr_blocks:
-        sigma = ClassFunction(
-            cls,
-            tuple(
-                cyclo_sum(
-                    (table.rows[i].values[ci] for i in xb),
-                    (table.degrees[i] for i in xb),
-                )
-                for ci in range(len(cls))
-            ),
-        )
-        sigmas.append(sigma)
+    sigmas = [
+        linear_combination([table.degrees[i] for i in xb], [table.rows[i] for i in xb])
+        for xb in irr_blocks
+    ]
     for bi, block in enumerate(elem_blocks):
         for xi, sigma in enumerate(sigmas):
             v0 = sigma.at_element(block[0])

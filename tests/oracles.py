@@ -214,7 +214,7 @@ def superinduce_via_reciprocity(phi, big_theory, embedding):
     """Reconstruct the superinduction from Super Frobenius Reciprocity:
     the sigma_X form an orthogonal basis of the superclass functions, so
     Sind phi = sum_X <phi, sigma_X|_H> / <sigma_X, sigma_X> * sigma_X."""
-    from superchar import IncompatibleTheories, is_compatible
+    from superchar import Cyclotomic, IncompatibleTheories, is_compatible
     from superchar.chartab import ClassFunction, inner_product
     from superchar.theories import SuperclassFunction
 
@@ -224,18 +224,24 @@ def superinduce_via_reciprocity(phi, big_theory, embedding):
             f"superclass of element {witness} does not embed", witness=witness
         )
     h_classes = phi.fn.classes
-    values = None
+    coeffs = []
     for sigma in big_theory.sigmas:
         sigma_h = ClassFunction(
             h_classes,
             tuple(sigma.at_element(embedding[c[0]]) for c in h_classes.classes),
         )
-        coeff = inner_product(phi.fn, sigma_h) * (
-            Fraction(1) / inner_product(sigma, sigma).as_rational()
+        coeffs.append(
+            inner_product(phi.fn, sigma_h)
+            * (Fraction(1) / inner_product(sigma, sigma).as_rational())
         )
-        term = sigma.scale(coeff)
-        values = term if values is None else values + term
-    return SuperclassFunction(big_theory, values)
+    # the sum, class by class in plain Cyclotomic arithmetic
+    values = []
+    for ci in range(len(big_theory.classes)):
+        v = Cyclotomic.rational(0)
+        for coeff, sigma in zip(coeffs, big_theory.sigmas):
+            v = v + coeff * sigma.values[ci]
+        values.append(v)
+    return SuperclassFunction(big_theory, ClassFunction(big_theory.classes, tuple(values)))
 
 
 # -- cyclotomic fields as polynomials mod Phi_E ----------------------------------

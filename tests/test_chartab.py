@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import degree_multisets, element_sum_induction
 from superchar import (
     Cyclotomic,
+    GroupMismatch,
     NotACharacter,
     builtin_group,
     character_multiplicities,
@@ -15,6 +19,7 @@ from superchar import (
     has_only_linear_constituents,
     induce,
     inner_product,
+    linear_combination,
     regular_character,
     restrict,
     trivial_character,
@@ -172,8 +177,48 @@ def test_linear_constituents_filter():
     sgn = table.rows[1]
     assert table.degrees[1] == 1
     assert has_only_linear_constituents(sgn, table)
-    assert has_only_linear_constituents(trivial_character(table.classes) + sgn, table)
+    assert has_only_linear_constituents(
+        linear_combination([1, 1], [trivial_character(table.classes), sgn]), table
+    )
     assert not has_only_linear_constituents(regular_character(table.classes), table)
+
+
+@lru_cache(maxsize=None)
+def _table(spec):
+    return dixon_character_table(builtin_group(spec))
+
+
+coefficients = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-4, max_value=4, max_denominator=6)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(["c5", "a5", "q16"]), data=st.data())
+def test_linear_combination_matches_per_class_arithmetic(spec, data):
+    table = _table(spec)  # all three have irrational character values
+    picks = data.draw(st.lists(st.sampled_from(range(len(table.rows))), min_size=1, max_size=5))
+    coeffs = data.draw(st.lists(coefficients, min_size=len(picks), max_size=len(picks)))
+    fns = [table.rows[i] for i in picks]
+    got = linear_combination(coeffs, fns)
+    assert got.classes == table.classes
+    for ci in range(len(table.classes)):
+        want = Cyclotomic.rational(0)
+        for q, f in zip(coeffs, fns):
+            want = want + f.values[ci] * q
+        assert got.values[ci] == want
+
+
+def test_linear_combination_refuses_mismatched_inputs():
+    s3, c3 = _table("s3"), _table("c3")
+    with pytest.raises(GroupMismatch):
+        linear_combination([1, 1], [s3.rows[1], c3.rows[1]])
+    with pytest.raises(ValueError):
+        linear_combination([1], s3.rows[:2])  # zip would drop the second row
+    with pytest.raises(ValueError):
+        linear_combination([1, 2], s3.rows[:1])
+    with pytest.raises(ValueError):
+        linear_combination([], [])
 
 
 def test_row_zero_is_trivial_everywhere():

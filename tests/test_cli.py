@@ -218,6 +218,57 @@ def test_nsys_verify_invalid_certificate_exits_2(capsys, tmp_path, blocks, messa
     assert err == f"error: {message}\n"
 
 
+SCT = {"schema": "sct/v1", "irr_partition": [[0], [1, 2]], "class_partition": [[0], [1, 2]]}
+UVDW_VERIFY = ["nsys", "verify", "--theorem", "uvdw", "--builtin", "s3", "--base", "1,1,1", "--cert"]
+# (id, argv, file written and appended to argv, or None)
+MALFORMED = [
+    ("sind-element-99", ["sind", "--builtin", "s3", "--subgroup", "0,99", "--values", "1,1"], None),
+    ("uvdw-find-element-7", ["uvdw", "find", "--builtin", "s3", "--subgroup", "0,7"], None),
+    ("family-subgroup-float", ["family", "check", "--builtin", "s3", "--family"],
+     {"schema": "family/v1", "entries": [{"subgroup": [0, 1.5], "theory": SCT}]}),
+    *[
+        (f"sct-{key}-{name}", ["sct", "verify", "--builtin", "c3", "--theory"], dict(SCT, **{key: bad}))
+        for key in ("irr_partition", "class_partition")
+        for name, bad in (("str", [[0], ["a", 1, 2]]), ("nested", [[0], [1, [2]]]), ("int", 5))
+    ],
+    ("uvdw-H-int", UVDW_VERIFY, {"schema": "uvdw/v1", "H": 5, "terms": []}),
+    ("uvdw-terms-int", UVDW_VERIFY, {"schema": "uvdw/v1", "H": [0], "terms": 5}),
+    ("group-cayley-str", ["group", "check", "--group"],
+     {"schema": "group/v1", "cayley": [[0, 1], [1, "a"]]}),
+    ("group-generators-str", ["group", "check", "--group"],
+     {"schema": "group/v1", "degree": 3, "generators": [[1, 2, "x"]]}),
+    ("nsys-base-bool", ["nsys", "build", "--builtin", "s3", "--nsys"],
+     {"schema": "nsys/v1", "base": {"X0": True, "X1": 1, "X2": 1}}),
+]
+
+
+@pytest.mark.parametrize("argv,obj", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED])
+def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv, obj):
+    if obj is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        argv = argv + [str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,obj",
+    [
+        (["sct", "verify", "--builtin", "c3", "--theory"], dict(SCT, class_partition=[[0], [1]])),
+        (["group", "check", "--group"], {"schema": "group/v1", "degree": 3, "generators": [[1, 2, 2]]}),
+    ],
+    ids=["sct-not-a-partition", "group-not-a-permutation"],
+)
+def test_well_typed_invalid_input_stays_verified_false(capsys, tmp_path, argv, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    code, _, _ = run(capsys, *argv, str(path))
+    assert code == 1
+
+
 def test_uvdw_find_budget_exhausted(capsys):
     code, out, _ = run(
         capsys, "uvdw", "find", "--builtin", "s4", "--subgroup", "trivial",
