@@ -49,7 +49,6 @@ from .groups import (
     whole_subgroup,
 )
 from .nsystems import (
-    DEFAULT_SEARCH_BUDGET,
     NSystem,
     check_ach3,
     find_uvdw_certificate,
@@ -58,7 +57,7 @@ from .nsystems import (
     verify_uvdw,
 )
 from .theories import (
-    DEFAULT_ENUM_CLASS_CAP,
+    DEFAULT_SEARCH_BUDGET,
     classical_theory,
     enumerate_theories,
     is_compatible,
@@ -247,13 +246,13 @@ def cmd_sct_verify(args, G):
     theory = fileio.load_theory(_table(args, G), args.theory)
     lines = [f"valid theory with {theory.n_blocks} blocks"]
     for x, (xb, kb) in enumerate(zip(theory.irr_blocks, theory.class_blocks)):
-        elems = theory.superclass_elements(x)
+        elems = theory.element_blocks[x]
         lines.append(f"X{x}={list(xb)}  K{x}=classes {list(kb)} elements {list(elems)}")
     return True, {"ok": True, "theory": fileio.theory_to_obj(theory)}, lines
 
 
 def cmd_sct_enumerate(args, G):
-    theories = enumerate_theories(_table(args, G), max_classes=args.cap)
+    theories = enumerate_theories(_table(args, G), budget=args.budget)
     partitions = [
         ([list(b) for b in t.irr_blocks], [list(b) for b in t.class_blocks]) for t in theories
     ]
@@ -402,7 +401,6 @@ FLAGS = {
     "theory-file": ("--theory", dict(required=True, help="sct/v1 file")),
     "theory": ("--theory", dict(default="classical", help=THEORY)),
     "sub-theory": ("--sub-theory", dict(default="classical", help=THEORY)),
-    "cap": ("--cap", dict(type=int, default=DEFAULT_ENUM_CLASS_CAP, help="max classes to enumerate")),
     "subgroup": ("--subgroup", dict(required=True, help=SUBGROUP)),
     "subgroup-opt": ("--subgroup", dict(help=SUBGROUP)),
     "values": ("--values", dict(required=True, help="one rational per subgroup K-block")),
@@ -436,7 +434,7 @@ COMMANDS = (
      ("table",), ()),
     ("sct verify", cmd_sct_verify, "validate a theory file", ("theory-file",),
      (NotASupercharacterTheory, NotAPartition)),
-    ("sct enumerate", cmd_sct_enumerate, "list every supercharacter theory", ("cap",), ()),
+    ("sct enumerate", cmd_sct_enumerate, "list every supercharacter theory", ("budget",), ()),
     ("sct compat", cmd_sct_compat, "check subgroup-theory compatibility",
      ("subgroup", "theory", "sub-theory"), ()),
     ("sind", cmd_sind, "superinduce a superclass function",
@@ -459,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="superchar",
         description="Exact supercharacter theories and arithmetic invariants of finite groups.",
     )
-    # caps of the commands without --cap or --budget, so every command has both
-    parser.set_defaults(cap=DEFAULT_ENUM_CLASS_CAP, budget=DEFAULT_SEARCH_BUDGET)
+    # the budget of the commands without --budget, so every command has one
+    parser.set_defaults(budget=DEFAULT_SEARCH_BUDGET)
     top = parser.add_subparsers(dest="command", required=True)
     groups = {
         word: top.add_parser(word, help=text).add_subparsers(dest="sub", required=True)
@@ -481,7 +479,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.max_order is None:
             args.max_order = int(os.environ.get("SUPERCHAR_MAX_ORDER", DEFAULT_MAX_ORDER))
-        if min(args.max_order, args.cap, args.budget) <= 0:
+        if min(args.max_order, args.budget) <= 0:
             raise SchemaError("caps must be positive")
         try:
             ok, payload, lines = args.run(args, _resolve_group(args))

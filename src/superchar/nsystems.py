@@ -34,13 +34,12 @@ from .errors import (
 )
 from .groups import Subgroup
 from .theories import (
+    DEFAULT_SEARCH_BUDGET,
     CompatibleFamily,
     SuperclassFunction,
     srestrict,
     superinduce,
 )
-
-DEFAULT_SEARCH_BUDGET = 100_000
 
 
 def _sigma_degree(sigma: ClassFunction) -> Fraction:

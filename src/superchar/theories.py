@@ -3,7 +3,8 @@
 A theory is a pair (X-partition of the irreducible rows, K-partition of
 the group elements) such that {1} is a K-block, both partitions have the
 same number of blocks, and every sigma_X = sum over X of psi(1) psi is
-constant on every K-block.  Compatible theories on a subgroup chain
+constant on every K-block.  Theories are enumerated from the class
+multiplication constants; compatible theories on a subgroup chain
 support superinduction and restriction of superclass functions.
 """
 
@@ -11,11 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, combinations, count
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .chartab import (
     CharacterTable,
     ClassFunction,
+    class_mult_coeffs,
     dixon_character_table,
     linear_combination,
     pull_back,
@@ -40,7 +44,7 @@ from .groups import (
     subgroup_within,
 )
 
-DEFAULT_ENUM_CLASS_CAP = 12
+DEFAULT_SEARCH_BUDGET = 100_000
 
 
 def _check_partition(blocks: Sequence[Iterable[int]], universe: range, what: str) -> Tuple[Tuple[int, ...], ...]:
@@ -107,9 +111,6 @@ class SupercharacterTheory:
     def superclass_of(self, g: int) -> int:
         """Index of the K-block containing element g."""
         return self._superclass_index[self.classes.class_of[g]]
-
-    def superclass_elements(self, k: int) -> Tuple[int, ...]:
-        return self.element_blocks[k]
 
     def is_classical(self) -> bool:
         return all(len(b) == 1 for b in self.irr_blocks) and all(
@@ -279,53 +280,59 @@ def maximal_theory(table: CharacterTable) -> SupercharacterTheory:
 # -- enumeration --------------------------------------------------------------
 
 
-def set_partitions(items: Sequence[int]) -> Iterator[List[List[int]]]:
-    """All set partitions, in a deterministic refinement order."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
 def enumerate_theories(
-    table: CharacterTable, max_classes: int = DEFAULT_ENUM_CLASS_CAP
+    table: CharacterTable, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> List[SupercharacterTheory]:
     """Exhaustive list of supercharacter theories of the table's group.
 
-    By Diaconis-Isaacs (Thm 2.2) the superclass partition K alone decides
-    whether a theory exists and fixes its X, so only K is searched: the
-    partitions of the classes with the identity class as its own block.
-    Rows are grouped by their central characters at the superclass sums,
-    omega_chi(K_j^) = sum_{c in K_j} |c| chi(c) / chi(1).  The K-sums span
-    an algebra exactly when there are |K| groups, and then the groups are
-    X.  ``make_theory`` stays the exact gate on every such candidate.
+    By Diaconis-Isaacs (Thm 2.2) a partition K of the classes with the
+    identity class as a block is a theory's superclass partition exactly
+    when the K-sums span an algebra: for all blocks I, J the integers
+    c^{IJ}_k = sum_{i in I, j in J} a[i][j][k] (``class_mult_coeffs``)
+    are constant on every block.  K is built block by block: the next
+    block B holds the smallest unassigned class and only classes of its
+    signature (its c^{IJ}_k over the finished pairs), and is dropped if
+    some c^{B,X} is not constant on a finished block.  At a leaf the rows,
+    grouped by their central characters at the K-sums, sum_{c in K_j}
+    |c| chi(c) / chi(1), are X, and ``make_theory`` is the exact gate.
+    More than ``budget`` candidate blocks raise ``OrderCapExceeded``.
     """
-    r = len(table.classes)
-    if r > max_classes:
-        raise OrderCapExceeded(
-            f"{r} conjugacy classes exceeds enumeration cap {max_classes}"
-        )
-    # weights[i][c] = |c| / chi_i(1)
-    weights = [[Fraction(s, d) for s in table.classes.sizes] for d in table.degrees]
+    a = class_mult_coeffs(table.group)
+    weights = [[Fraction(s, d) for s in table.classes.sizes] for d in table.degrees]  # |c| / chi(1)
     found: List[SupercharacterTheory] = []
-    for kpart in set_partitions(range(1, r)):
-        class_blocks = [[0]] + kpart
-        groups: Dict[Tuple[Cyclotomic, ...], List[int]] = {}
-        for i, row in enumerate(table.rows):
-            key = tuple(
-                cyclo_sum((row.values[c] for c in block), (weights[i][c] for c in block))
-                for block in class_blocks
-            )
-            groups.setdefault(key, []).append(i)
-        if len(groups) == len(class_blocks):
-            found.append(theory_from_class_blocks(table, list(groups.values()), class_blocks))
-    found.sort(key=lambda t: t.sort_key())
-    return found
+    tried = count(1)
+
+    def coeffs(I, J) -> List[int]:
+        return [sum(col) for col in zip(*(a[i][j] for i in I for j in J))]
+
+    @lru_cache(maxsize=None)
+    def central(block: Tuple[int, ...]) -> Tuple[Cyclotomic, ...]:
+        """omega_chi(K^) for every row chi; a block recurs in many leaves."""
+        return tuple(
+            cyclo_sum((row.values[c] for c in block), (w[c] for c in block))
+            for row, w in zip(table.rows, weights)
+        )
+
+    def search(blocks: List[Tuple[int, ...]], pairs: List[List[int]], free: List[int]) -> None:
+        if not free:
+            groups: Dict[Tuple[Cyclotomic, ...], List[int]] = {}
+            for i, key in enumerate(zip(*map(central, blocks))):
+                groups.setdefault(key, []).append(i)
+            assert len(groups) == len(blocks), "K-sums span an algebra but X has the wrong size"
+            found.append(theory_from_class_blocks(table, list(groups.values()), blocks))
+            return
+        first, rest = free[0], free[1:]
+        mates = [k for k in rest if all(c[k] == c[first] for c in pairs)]  # same signature
+        for extra in chain.from_iterable(combinations(mates, n) for n in range(len(mates) + 1)):
+            if next(tried) > budget:
+                raise OrderCapExceeded(f"theory search passed its budget of {budget} candidate blocks")
+            block = (first,) + extra
+            new = [coeffs(block, X) for X in blocks] + [coeffs(block, block)]
+            if all(len({c[k] for k in X}) == 1 for c in new for X in blocks + [block]):
+                search(blocks + [block], pairs + new, [k for k in rest if k not in extra])
+
+    search([(0,)], [coeffs((0,), (0,))], list(range(1, len(a))))
+    return sorted(found, key=lambda t: t.sort_key())
 
 
 # -- compatibility, superinduction, restriction --------------------------------
@@ -338,25 +345,21 @@ def is_compatible(
 ) -> Tuple[bool, Optional[int]]:
     """Check SCl_H(h) subset of SCl_G(h) for all h; witness on failure.
 
-    ``embedding`` maps local element indices of the subgroup into the big
-    theory's group.
+    One pass per subgroup superclass; the witness is the smallest element
+    of one whose image meets two superclasses of G.  ``embedding`` maps
+    local element indices of the subgroup into the big theory's group.
     """
     if len(embedding) != sub_theory.group.order:
         raise NotASubgroup("embedding length does not match subgroup order")
-    for h in range(sub_theory.group.order):
-        target = big_theory.superclass_of(embedding[h])
-        for x in sub_theory.superclass_elements(sub_theory.superclass_of(h)):
-            if big_theory.superclass_of(embedding[x]) != target:
-                return False, h
-    return True, None
+    big = big_theory.superclass_of
+    bad = [b[0] for b in sub_theory.element_blocks if len({big(embedding[x]) for x in b}) > 1]
+    return (False, min(bad)) if bad else (True, None)
 
 
 def _require_compatible(sub_theory, big_theory, embedding):
     ok, witness = is_compatible(sub_theory, big_theory, embedding)
     if not ok:
-        raise IncompatibleTheories(
-            f"superclass of element {witness} does not embed", witness=witness
-        )
+        raise IncompatibleTheories(f"superclass of element {witness} does not embed", witness=witness)
 
 
 def superinduce(
@@ -374,8 +377,7 @@ def superinduce(
     h_order = len(embedding)
     local_of = {g: i for i, g in enumerate(embedding)}
     block_values = []
-    for k in range(big_theory.n_blocks):
-        block = big_theory.superclass_elements(k)
+    for block in big_theory.element_blocks:
         acc = cyclo_sum(
             phi.fn.at_element(local_of[x]) for x in block if x in local_of
         )

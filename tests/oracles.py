@@ -207,6 +207,20 @@ def naive_theory_count(n_elements, element_values, degrees):
     return count
 
 
+# -- subgroup-theory compatibility, element by element ---------------------------
+
+
+def compatible_per_element(sub_blocks, big_blocks, embedding):
+    """SCl_H(h) inside SCl_G(h), tested for each h in turn from the two
+    element partitions alone; returns (ok, the first h that fails)."""
+    big_of = {g: i for i, block in enumerate(big_blocks) for g in block}
+    sub_block_of = {h: block for block in sub_blocks for h in block}
+    for h in range(len(embedding)):
+        if any(big_of[embedding[x]] != big_of[embedding[h]] for x in sub_block_of[h]):
+            return False, h
+    return True, None
+
+
 # -- superinduction by Super Frobenius Reciprocity ------------------------------
 
 

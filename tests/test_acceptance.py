@@ -79,7 +79,7 @@ def test_criterion_1_character_tables():
 def test_criterion_2_enumeration_counts():
     failures = []
     counts = {}
-    for spec in ("c2", "c3", "c5", "c7", "c4", "s3", "d4", "q8", "d5"):
+    for spec in ("c2", "c3", "c5", "c7", "c11", "c13", "c4", "s3", "d4", "q8", "d5"):
         t0 = time.perf_counter()
         G = builtin_group(spec)
         table = dixon_character_table(G)
@@ -96,7 +96,7 @@ def test_criterion_2_enumeration_counts():
             failures.append((spec, "runtime", elapsed))
     # C_p has d(p - 1) theories (Leung-Man); S3 has exactly two
     # (Burkett-Lamar-Lewis-Wynn 2017)
-    for spec, want in (("c2", 1), ("c3", 2), ("c5", 3), ("c7", 4), ("s3", 2)):
+    for spec, want in (("c2", 1), ("c3", 2), ("c5", 3), ("c7", 4), ("c11", 4), ("c13", 6), ("s3", 2)):
         if counts[spec] != want:
             failures.append((spec, counts[spec], want))
     _report(2, "theory enumeration counts vs naive oracle", failures, str(counts))

@@ -177,10 +177,10 @@ CASES = (
     ("table compute --builtin s3 --prime 4", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("sct enumerate --builtin c5 --cap 0", 2,
+    ("sct enumerate --builtin c5 --budget 0", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("sct enumerate --builtin c5 --cap 4", 2,
+    ("sct enumerate --builtin c5 --budget 1", 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("sct compat --builtin s3 --subgroup A3 --theory {d}/notpart.sct.json", 2,

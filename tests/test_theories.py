@@ -1,9 +1,11 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import superinduce_via_reciprocity
+from oracles import all_set_partitions, compatible_per_element, superinduce_via_reciprocity
 from superchar import (
     IncompatibleFamily,
     IncompatibleTheories,
@@ -25,7 +27,6 @@ from superchar import (
     whole_subgroup,
 )
 from superchar.errors import NotASuperclassFunction, OrderCapExceeded
-from superchar.theories import set_partitions
 
 
 def _rand_fn(theory, rng):
@@ -36,7 +37,7 @@ def _rand_fn(theory, rng):
 
 def test_set_partitions_bell_numbers():
     for n, bell in [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15), (5, 52)]:
-        assert sum(1 for _ in set_partitions(range(n))) == bell
+        assert sum(1 for _ in all_set_partitions(range(n))) == bell
 
 
 def test_classical_and_maximal_are_valid():
@@ -100,7 +101,85 @@ def test_enumeration_counts():
 def test_enumeration_cap():
     table = dixon_character_table(builtin_group("c5"))
     with pytest.raises(OrderCapExceeded):
-        enumerate_theories(table, max_classes=4)
+        enumerate_theories(table, budget=1)
+
+
+# (count, sha256 of the canonical [[X, K], ...] listing) for every builtin
+# with at most 9 classes among c1-c9, d1-d15, q8-q24, s3-s5, a4 and a5, as
+# listed by the exhaustive set-partition enumerator the block search replaced
+ENUMERATION_LISTINGS = {
+    "c1": (1, "477d4e00eb8e7fd16ef64a9c0f9fd862ea5d4258ca089ec01f95f5f888761a69"),
+    "c2": (1, "be4e692666b57b2d04baf350466d5fa8474622aeaebd9b4832f2935cfce5fe0b"),
+    "c3": (2, "057a76a37d28744d81f653b7ca88581d278802188bb813a1d6f3c6db2748b4f7"),
+    "c4": (3, "714a4a0a1f9e529f938369c6ffb86e7b6f6af22fb18547f046122f40d91ba162"),
+    "c5": (3, "46cde705a8e0d68b8f3779609edb94e937ba235752dbafbe5767dc40bdd1b679"),
+    "c6": (7, "034f28dc92d0b4dce38f34d7cae6b36b641a7ecceacab87ffa4741555432ffcf"),
+    "c7": (4, "bd8a16af099a779ec1e9213134f63509aad6a390d467add3e6e53e45df08eccc"),
+    "c8": (10, "176acdbd58c3a778bae864e3823d57d04882519586b8482ada97ed4dc9f04157"),
+    "c9": (7, "b2c3b8e67450a058b85f00a37e25b63c916c6ee07d2b8ce74f6348a65cbb1ff3"),
+    "d1": (1, "be4e692666b57b2d04baf350466d5fa8474622aeaebd9b4832f2935cfce5fe0b"),
+    "d2": (5, "af7fdf23941c115a376125b1f187011cc14cd55e10dfe76bd59ece198e802fc1"),
+    "d3": (2, "057a76a37d28744d81f653b7ca88581d278802188bb813a1d6f3c6db2748b4f7"),
+    "d4": (9, "09c22bb854bef00dcf51eb59d3a961526dc85994fba846823b679fff034a5304"),
+    "d5": (3, "aa69fa032ab340ed769aa6c883df2267f822d77be848d6b8a6739d22dd8d68c3"),
+    "d6": (15, "d9023b6ec6d70da74c26b8a1510e1723408980260665b0d2bf176a7a00304be5"),
+    "d7": (3, "08aed55f3803eff4a9e0ae534948413b4114e85cd94b52808d4d634cfa0c202c"),
+    "d8": (20, "68ee532847f73e50a19f9fd971902d8e88f8b4f00b1051e39f0106c5534980c2"),
+    "d9": (5, "27f95db58a9826649931f9beda1c4bc9b358f5e4dade8bba3d465b291343c805"),
+    "d10": (23, "a125b18f862a20df28609247fe992cc8d025f62f39a5ab0bb019ea9092216a68"),
+    "d11": (3, "663cee2cc637b055bae187bcf0870a698c1fb26c54433ae9305c7816286171ee"),
+    "d12": (45, "4577fbdd483e2ecff0f5e9b1764270476f76ad3c30834e2b2e8246c85b2e32ca"),
+    "d13": (5, "3d280e1cf7ab624ad528c02e3ecdcc32197c7b90c5ad5f87fb8be529956ea45a"),
+    "d15": (12, "4aeb66cbc33e26887180ce9fd353a9076fe56f8026ac93723a5b6c14827f681a"),
+    "q8": (9, "09c22bb854bef00dcf51eb59d3a961526dc85994fba846823b679fff034a5304"),
+    "q12": (9, "ced24cefa5c9fd7896d69acdca67e45ddcc730b77326c4d67627e9c35d53b238"),
+    "q16": (20, "68ee532847f73e50a19f9fd971902d8e88f8b4f00b1051e39f0106c5534980c2"),
+    "q20": (15, "519e95cbb42d8450de3b3b43da780f39b5fbfd1b33798cb476f72fb87a0b0506"),
+    "q24": (45, "4577fbdd483e2ecff0f5e9b1764270476f76ad3c30834e2b2e8246c85b2e32ca"),
+    "s3": (2, "a084c782ee65000d5f9044ec1e2658d4496ebe7d8b8ff593751affcee7f1ab72"),
+    "s4": (5, "dc95be81b0ca9b26c25426ab4a19efe09421e38d499df6bf138cc1a390e4bdab"),
+    "s5": (5, "de55f2578a5a705b788a27a52f085c0d656d5d3ea2521023bf2e8c4e4446dfe6"),
+    "a4": (3, "a7af35fb26fe1646731db82fe42b43f50d5a07bde1ba4c96180950a4b5f0571a"),
+    "a5": (3, "8ac2192cf05905d6860ff8f77b6c84418741d4d078addf2c56bbc6c09944b27e"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(ENUMERATION_LISTINGS))
+def test_enumeration_listing_matches_pin(spec):
+    theories = enumerate_theories(dixon_character_table(builtin_group(spec)))
+    text = json.dumps([[t.irr_blocks, t.class_blocks] for t in theories], separators=(",", ":"))
+    assert (len(theories), hashlib.sha256(text.encode()).hexdigest()) == ENUMERATION_LISTINGS[spec]
+
+
+# counts from the same set-partition enumerator (c12 took minutes there)
+@pytest.mark.parametrize("spec, count", [("c10", 10), ("d14", 23), ("q32", 47), ("c12", 32)])
+def test_enumeration_counts_past_nine_classes(spec, count):
+    assert len(enumerate_theories(dixon_character_table(builtin_group(spec)))) == count
+
+
+def test_every_desk_builtin_enumerates_within_the_default_budget():
+    specs = [f"c{n}" for n in range(1, 13)] + [f"d{n}" for n in range(1, 22)]
+    specs += [f"q{n}" for n in range(8, 37, 4)] + [f"s{n}" for n in range(1, 6)] + ["a3", "a4", "a5"]
+    tables = [dixon_character_table(builtin_group(spec)) for spec in specs]
+    tables = [table for table in tables if len(table.classes) <= 12]
+    assert len(tables) == 48
+    for table in tables:
+        assert enumerate_theories(table)  # raises OrderCapExceeded past the budget
+
+
+def test_is_compatible_matches_per_element_oracle():
+    pairs = incompatible = 0
+    for spec in ("d4", "q8", "s4", "d6", "a4"):
+        G = builtin_group(spec)
+        big_theories = enumerate_theories(dixon_character_table(G))
+        for H in enumerate_subgroups(G):
+            for sub in enumerate_theories(dixon_character_table(H.local)):
+                for big in big_theories:
+                    got = is_compatible(sub, big, H.elements)
+                    assert got == compatible_per_element(sub.element_blocks, big.element_blocks, H.elements)
+                    pairs += 1
+                    incompatible += not got[0]
+    assert (pairs, incompatible) == (1707, 688)
 
 
 def test_compatibility_and_witness():
