@@ -298,19 +298,24 @@ def dixon_character_table(
     jstar = [cls.class_of[G.inv[cls.representatives[j]]] for j in range(r)]
     rows: List[ClassFunction] = []
     z = _primitive_root_of_unity(p, e)
-    inv_e = pow(e, -1, p)
     z_pow = [pow(z, k, p) for k in range(e)]
-    # dft[t][s] = z^(-s t): the eigenvalue z^t of g has multiplicity
-    # (1/e) sum_s chi(g^s) z^(-s t)
-    dft = [[z_pow[(-s_ * t) % e] for s_ in range(e)] for t in range(e)]
+    # g of order o has eigenvalues z^t with (e/o) | t, of multiplicity
+    # m_t = (1/o) sum_{s<o} chi(g^s) z^(-s t); every other m_t is zero.
+    # power_class[j]: the classes of g^0, ..., g^(o-1), g = representative j
     power_class: List[List[int]] = []
-    for j in range(r):
-        g = cls.representatives[j]
-        x, seq = 0, []
-        for _ in range(e):
+    for g in cls.representatives:
+        x, seq = g, [cls.class_of[0]]
+        while x != 0:
             seq.append(cls.class_of[x])
             x = G.mul[x][g]
         power_class.append(seq)
+    # dft[o]: the pairs (t, [z^(-s t) for s < o]) over the t that (e/o) divides
+    dft: Dict[int, List[Tuple[int, List[int]]]] = {}
+    for o in {len(seq) for seq in power_class}:
+        dft[o] = [
+            (t, [z_pow[(-s_ * t) % e] for s_ in range(o)]) for t in range(0, e, e // o)
+        ]
+    inv_order = {o: pow(o, -1, p) for o in dft}
 
     for sp in spaces:
         v = sp[0]
@@ -322,11 +327,12 @@ def dixon_character_table(
         deg = next(t for t in range(1, p // 2 + 1) if (t * t) % p == d2)
         chi_mod = [(deg * w[j] * inv_sizes[j]) % p for j in range(r)]
         values = []
-        for j in range(r):
-            powers = [chi_mod[c] for c in power_class[j]]
+        for seq in power_class:
+            powers = [chi_mod[c] for c in seq]
+            inv_o = inv_order[len(seq)]
             terms: Dict[int, Fraction] = {}
-            for t in range(e):
-                m_t = (sum(map(mul, powers, dft[t])) * inv_e) % p
+            for t, row in dft[len(seq)]:
+                m_t = (sum(map(mul, powers, row)) * inv_o) % p
                 assert m_t <= deg, "eigenvalue multiplicity exceeds degree"
                 if m_t:
                     terms[t] = Fraction(m_t)

@@ -43,6 +43,14 @@ class FiniteGroup:
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
+    # every lru_cache hit keyed on a group hashes it: hash the table once
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.order, self.mul, self.inv, self.exponent))
+
+    def __hash__(self):
+        return self._hash
+
 
 def element_order(G: FiniteGroup, g: int) -> int:
     k, x = 1, g
@@ -56,7 +64,7 @@ def group_from_cayley(table: Sequence[Sequence[int]], name: str = "G") -> Finite
     """Validate a Cayley table and build the group.
 
     Checks totality, that element 0 is a two-sided identity, existence of
-    two-sided inverses, and associativity on all triples.
+    two-sided inverses, and associativity (``_check_associative``).
     """
     n = len(table)
     if n == 0:
@@ -65,12 +73,12 @@ def group_from_cayley(table: Sequence[Sequence[int]], name: str = "G") -> Finite
     for a, row in enumerate(mul):
         if len(row) != n:
             raise NotAGroup(f"row {a} has length {len(row)}, expected {n}")
-        for b, v in enumerate(row):
-            if not (0 <= v < n):
-                raise NotAGroup(f"entry mul[{a}][{b}] = {v} out of range")
-    for a in range(n):
-        if mul[0][a] != a or mul[a][0] != a:
-            raise IdentityNotZero()
+        if min(row) < 0 or max(row) >= n:
+            b, v = next((b, v) for b, v in enumerate(row) if not 0 <= v < n)
+            raise NotAGroup(f"entry mul[{a}][{b}] = {v} out of range")
+    ident = tuple(range(n))
+    if mul[0] != ident or tuple(row[0] for row in mul) != ident:
+        raise IdentityNotZero()
     inv = []
     for a in range(n):
         try:
@@ -80,15 +88,7 @@ def group_from_cayley(table: Sequence[Sequence[int]], name: str = "G") -> Finite
         if mul[b][a] != 0:
             raise NotAGroup(f"inverse of {a} is not two-sided")
         inv.append(b)
-    for a in range(n):
-        row_a = mul[a]
-        for b in range(n):
-            ab = row_a[b]
-            row_ab = mul[ab]
-            row_b = mul[b]
-            for c in range(n):
-                if row_ab[c] != row_a[row_b[c]]:
-                    raise NotAGroup(f"associativity fails at ({a},{b},{c})")
+    _check_associative(mul)
     exponent = 1
     group = FiniteGroup(name, n, mul, tuple(inv), 1)
     for g in range(n):
@@ -96,9 +96,73 @@ def group_from_cayley(table: Sequence[Sequence[int]], name: str = "G") -> Finite
     return FiniteGroup(name, n, mul, tuple(inv), exponent)
 
 
+def _check_associative(mul: Tuple[Tuple[int, ...], ...]) -> None:
+    """Light's associativity test over a generating set S.
+
+    The elements b with (ab)c = a(bc) for all a, c contain the identity
+    and are closed under products, so once every b in S passes, so does
+    every product of them (Clifford & Preston, *The Algebraic Theory of
+    Semigroups* I, 1961, §1.2).  S is picked greedily: the least element
+    not yet reached from the identity by products of S.  In a group each
+    pick at least doubles the reached subgroup, so |S| <= log2(n) and the
+    test costs O(n^2 log n).  A failure names a failing triple (a, b, c).
+    """
+    n = len(mul)
+    reached = [False] * n
+    reached[0] = True
+    walk = [0]  # the reached elements, breadth first
+    gens: List[int] = []
+    for b in range(1, n):
+        if reached[b]:
+            continue
+        row_b = mul[b]
+        for a, row_a in enumerate(mul):
+            row_ab = mul[row_a[b]]
+            if row_ab != tuple(map(row_a.__getitem__, row_b)):
+                c = next(c for c in range(n) if row_ab[c] != row_a[row_b[c]])
+                raise NotAGroup(f"associativity fails at ({a},{b},{c})")
+        gens.append(b)
+        for x in walk:  # visits the elements appended below too
+            row_x = mul[x]
+            for g in gens:
+                y = row_x[g]
+                if not reached[y]:
+                    reached[y] = True
+                    walk.append(y)
+
+
 def _compose(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
     """(p * q)(x) = p(q(x))."""
     return tuple(p[q[x]] for x in range(len(p)))
+
+
+def _perm_cayley(perms: Sequence[Tuple[int, ...]]) -> Tuple[Tuple[int, ...], ...]:
+    """Cayley table of a group of permutations listed in table order,
+    identity first.
+
+    Generators g are picked greedily (the least element not yet reached)
+    and g*x is composed once for every x.  Row a = g*c is then row c
+    mapped through x -> g*x, since (g*c)*b = g*(c*b): one list lookup per
+    entry instead of one composition.
+    """
+    n = len(perms)
+    index = {p: i for i, p in enumerate(perms)}
+    rows: List[Optional[Tuple[int, ...]]] = [None] * n
+    rows[0] = tuple(range(n))
+    walk = [0]  # elements whose row is filled, breadth first
+    lefts: List[List[int]] = []
+    for s in range(1, n):
+        if rows[s] is not None:
+            continue
+        g = perms[s]
+        lefts.append([index[_compose(g, p)] for p in perms])
+        for c in walk:  # visits the elements appended below too
+            for left in lefts:
+                a = left[c]
+                if rows[a] is None:
+                    rows[a] = tuple(map(left.__getitem__, rows[c]))
+                    walk.append(a)
+    return tuple(rows)
 
 
 def group_from_permutations(
@@ -135,12 +199,7 @@ def group_from_permutations(
                 index[nxt] = len(elements)
                 elements.append(nxt)
                 queue.append(nxt)
-    n = len(elements)
-    mul = tuple(
-        tuple(index[_compose(elements[a], elements[b])] for b in range(n))
-        for a in range(n)
-    )
-    return group_from_cayley(mul, name)
+    return group_from_cayley(_perm_cayley(elements), name)
 
 
 @dataclass(frozen=True)
@@ -270,16 +329,18 @@ def subgroup_from_elements(
     elems = tuple(sorted(set(elements)))
     if not elems or elems[0] != 0:
         raise NotASubgroup("subgroup must contain the identity")
+    if len(elems) == G.order:
+        return Subgroup(G, elems, G)  # the whole group embeds as itself
     pos = {g: i for i, g in enumerate(elems)}
+    table = []
     for a in elems:
         if G.inv[a] not in pos:
             raise NotASubgroup(f"not closed under inversion at {a}")
-        for b in elems:
-            if G.mul[a][b] not in pos:
-                raise NotASubgroup(f"not closed under multiplication at ({a},{b})")
-    if len(elems) == G.order:
-        return Subgroup(G, elems, G)  # the whole group embeds as itself
-    table = [[pos[G.mul[a][b]] for b in elems] for a in elems]
+        row = list(map(pos.get, map(G.mul[a].__getitem__, elems)))
+        if None in row:
+            b = elems[row.index(None)]
+            raise NotASubgroup(f"not closed under multiplication at ({a},{b})")
+        table.append(row)
     label = name if name is not None else f"{G.name}|{{{','.join(map(str, elems))}}}"
     local = group_from_cayley(table, label)
     return Subgroup(G, elems, local)
@@ -361,15 +422,13 @@ def enumerate_subgroups(
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    table = [list(range(i, n)) + list(range(i)) for i in range(n)]
     return group_from_cayley(table, f"C{n}")
 
 
 def _perm_table_group(perms: List[Tuple[int, ...]], name: str) -> FiniteGroup:
     perms = sorted(perms)  # identity is lexicographically first
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[_compose(p, q)] for q in perms] for p in perms]
-    return group_from_cayley(table, name)
+    return group_from_cayley(_perm_cayley(perms), name)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -392,19 +451,16 @@ def alternating_group(n: int) -> FiniteGroup:
 def _rotation_reflection_group(m: int, twist: int, name: str) -> FiniteGroup:
     """Group of order 2m on elements i + m*j = a^i b^j with b a^i = a^-i b
     and b^2 = a^twist."""
-
-    def idx(i: int, j: int) -> int:
-        return i % m + m * (j % 2)
-
-    table = [[0] * (2 * m) for _ in range(2 * m)]
-    for i1 in range(m):
-        for j1 in range(2):
-            for i2 in range(m):
-                for j2 in range(2):
-                    i = i1 + i2 if j1 == 0 else i1 - i2
-                    if j1 == 1 and j2 == 1:
-                        i += twist
-                    table[idx(i1, j1)][idx(i2, j2)] = idx(i, j1 + j2)
+    # a^i1 * a^i2 b^j = a^(i1+i2) b^j and a^i1 b * a^i2 b^j = a^(i1-i2) b^(1+j)
+    rows_a = [
+        [(i1 + i2) % m for i2 in range(m)] + [(i1 + i2) % m + m for i2 in range(m)]
+        for i1 in range(m)
+    ]
+    rows_ab = [
+        [(i1 - i2) % m + m for i2 in range(m)] + [(i1 - i2 + twist) % m for i2 in range(m)]
+        for i1 in range(m)
+    ]
+    table = rows_a + rows_ab
     return group_from_cayley(table, name)
 
 

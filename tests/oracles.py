@@ -29,6 +29,32 @@ def inverse_table(mul):
     return [next(b for b in range(n) if mul[a][b] == 0) for a in range(n)]
 
 
+def perm_cayley(perms):
+    """Cayley table of permutations listed in table order: entry [i][j]
+    is the position of p_i o p_j, (p o q)(x) = p(q(x)), composed directly."""
+    position = {tuple(p): i for i, p in enumerate(perms)}
+    return [
+        [position[tuple(p[q[x]] for x in range(len(p)))] for q in perms]
+        for p in perms
+    ]
+
+
+def perm_discovery_order(degree, gens):
+    """The closure of gens in discovery order: breadth first from the
+    identity, each element times each generator in sorted order."""
+    gens = sorted(tuple(g) for g in gens)
+    found = [tuple(range(degree))]
+    i = 0
+    while i < len(found):
+        p = found[i]
+        for g in gens:
+            q = tuple(p[g[x]] for x in range(degree))
+            if q not in found:
+                found.append(q)
+        i += 1
+    return found
+
+
 def raw_closure(mul, seed):
     out = set(seed) | {0}
     frontier = list(out)

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,10 @@ from hypothesis import strategies as st
 from oracles import (
     commutator_subgroup,
     conjugacy_partition,
+    inverse_table,
     is_associative,
+    perm_cayley,
+    perm_discovery_order,
     raw_closure,
     subgroups_by_pairs,
     subgroups_by_subsets,
@@ -266,3 +271,157 @@ def test_builtin_order_stops_at_the_cap():
     assert builtin_order("s2000", 200) > 200
     assert builtin_order("a1000000", 200) > 200
     assert builtin_order("d101", 200) == 202
+
+
+# -- the Cayley-table gate against the oracle ----------------------------------
+
+
+def _has_identity_and_inverses(mul) -> bool:
+    n = len(mul)
+    if any(mul[0][g] != g or mul[g][0] != g for g in range(n)):
+        return False
+    if any(0 not in row for row in mul):
+        return False
+    inv = inverse_table(mul)
+    return all(mul[inv[a]][a] == 0 for a in range(n))
+
+
+def _oracle_accepts(mul) -> bool:
+    return _has_identity_and_inverses(mul) and is_associative(mul)
+
+
+_TRIPLE = re.compile(r"associativity fails at \((\d+),(\d+),(\d+)\)")
+
+
+def _gate_agrees_with_oracle(mul) -> bool:
+    """Run group_from_cayley on mul; True iff it accepts.  A rejection of a
+    table with identity 0 and two-sided inverses must name a failing triple."""
+    try:
+        G = group_from_cayley(mul)
+    except NotAGroup as exc:
+        assert not _oracle_accepts(mul)
+        found = _TRIPLE.search(str(exc))
+        if found:
+            a, b, c = map(int, found.groups())
+            assert mul[mul[a][b]][c] != mul[a][mul[b][c]], (mul, str(exc))
+        if _has_identity_and_inverses(mul):
+            assert found, str(exc)  # so associativity failed
+        return False
+    assert _oracle_accepts(mul)
+    assert [list(row) for row in G.mul] == [list(row) for row in mul]
+    return True
+
+
+def _reduced_latin_squares(n):
+    """Every Latin square on 0..n-1 whose first row and column are 0..n-1."""
+    square = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            yield [row[:] for row in square]
+            return
+        i, j = divmod(cell, n)
+        if i == 0 or j == 0:
+            yield from fill(cell + 1)
+            return
+        for v in range(n):
+            if v not in square[i][:j] and all(square[k][j] != v for k in range(i)):
+                square[i][j] = v
+                yield from fill(cell + 1)
+        square[i][j] = None
+
+    yield from fill(0)
+
+
+def _times_c2(loop):
+    """C2 x loop on the elements h + 2*l: element 1 = (1, 0) lies in the
+    nucleus, so a table that only fails at some (0, l) passes its first
+    generator."""
+    m = len(loop)
+    return [
+        [(h1 ^ h2) + 2 * loop[l1][l2] for l2 in range(m) for h2 in range(2)]
+        for l1 in range(m)
+        for h1 in range(2)
+    ]
+
+
+def test_group_from_cayley_accepts_exactly_the_groups_among_loops():
+    counts, accepted, accepted_times_c2 = [], [], []
+    for n in range(1, 6):
+        squares = list(_reduced_latin_squares(n))
+        counts.append(len(squares))
+        accepted.append(sum(_gate_agrees_with_oracle(sq) for sq in squares))
+        accepted_times_c2.append(sum(_gate_agrees_with_oracle(_times_c2(sq)) for sq in squares))
+    assert counts == [1, 1, 1, 4, 56]
+    # groups: C1, C2, C3; C4 in three labellings and V4; C5 in 4!/|Aut C5| = 6
+    assert accepted == accepted_times_c2 == [1, 1, 1, 4, 6]
+
+
+@pytest.mark.parametrize("spec", ["d4", "q8", "a4"])
+def test_group_from_cayley_rejects_every_single_entry_corruption(spec):
+    mul = [list(row) for row in builtin_group(spec).mul]
+    n = len(mul)
+    assert _gate_agrees_with_oracle(mul)
+    for a in range(n):
+        for b in range(n):
+            honest = mul[a][b]
+            for v in range(n):
+                if v != honest:
+                    mul[a][b] = v
+                    assert not _gate_agrees_with_oracle(mul), (a, b, v)
+            mul[a][b] = honest
+
+
+# -- permutation tables against direct composition -----------------------------
+
+# AGL(1, 7): x -> x + 1 and x -> 3x, 3 a primitive root mod 7
+_AGL1_7 = (7, [[(x + 1) % 7 for x in range(7)], [(3 * x) % 7 for x in range(7)]])
+# C2 wr C4 on 8 points: swap the first pair, rotate the four pairs
+_C2_WR_C4 = (8, [[1, 0, 2, 3, 4, 5, 6, 7], [2, 3, 4, 5, 6, 7, 0, 1]])
+# C2 x A5: a 5-cycle and a 3-cycle on 0..4, a transposition of 5 and 6
+_C2_X_A5 = (7, [[1, 2, 3, 4, 0, 5, 6], [1, 2, 0, 3, 4, 5, 6], [0, 1, 2, 3, 4, 6, 5]])
+
+
+def _is_even(p):
+    # a permutation is even iff degree minus its number of cycles is even
+    seen, cycles = set(), 0
+    for x in range(len(p)):
+        if x not in seen:
+            cycles += 1
+            while x not in seen:
+                seen.add(x)
+                x = p[x]
+    return (len(p) - cycles) % 2 == 0
+
+
+@pytest.mark.parametrize("spec", ["s3", "s4", "s5", "a4", "a5"])
+def test_symmetric_and_alternating_tables_match_direct_composition(spec):
+    n = int(spec[1:])
+    perms = sorted(itertools.permutations(range(n)))
+    if spec[0] == "a":
+        perms = [p for p in perms if _is_even(p)]
+    assert [list(row) for row in builtin_group(spec).mul] == perm_cayley(perms)
+
+
+@pytest.mark.parametrize(
+    "degree,gens", [_AGL1_7, _C2_WR_C4, _C2_X_A5], ids=["agl1_7", "c2wrc4", "c2xa5"]
+)
+def test_permutation_closure_table_matches_direct_composition(degree, gens):
+    G = group_from_permutations(degree, gens)
+    expected = perm_cayley(perm_discovery_order(degree, gens))
+    assert [list(row) for row in G.mul] == expected
+
+
+# -- hashing ---------------------------------------------------------------------
+
+
+def test_equal_groups_hash_alike_and_share_one_cache_entry():
+    table = builtin_group("d7").mul
+    G1, G2 = group_from_cayley(table, "hash-twice"), group_from_cayley(table, "hash-twice")
+    assert G1 is not G2 and G1 == G2
+    assert hash(G1) == hash(G2)
+    assert vars(G1)["_hash"] == hash(G1)  # stored once on the instance
+    before = conjugacy_classes.cache_info()
+    assert conjugacy_classes(G1) is conjugacy_classes(G2)
+    after = conjugacy_classes.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
