@@ -18,8 +18,9 @@ Zumbroich basis of Q(zeta_E) (T. Breuer, "Integral bases for subfields
 of cyclotomic fields", AAECC 1997), where membership in each maximal
 subfield Q(zeta_{E/p}) is a pattern of equal or vanishing coefficients,
 descends to the conductor, and reduces there modulo its cyclotomic
-polynomial.  Scaling by a nonzero rational and negation keep a value
-canonical and skip the kernel.
+polynomial.  An all-rational sum (E = 1) is one integer numerator over
+one denominator, a canonical ``Fraction`` as it stands.  Scaling by a
+nonzero rational and negation keep a value canonical and skip the kernel.
 """
 
 from __future__ import annotations
@@ -219,12 +220,14 @@ def _accumulate(terms: Iterable[Tuple], conj: bool) -> "Cyclotomic":
 
     q is an int or Fraction.  Every product lands in one vector of E
     integers over one common denominator, E the lcm of all orders, and the
-    total is canonicalized once.
+    total is canonicalized once (an all-rational sum needs no vector).
     """
     terms = list(terms)
     e = 1
     for _, a, b in terms:
         e = lcm(e, a.order) if b is None else lcm(e, a.order, b.order)
+    if e == 1:
+        return _accumulate_rational(terms)
     vec = [0] * e
     den = 1
     for q, a, b in terms:
@@ -255,6 +258,25 @@ def _accumulate(terms: Iterable[Tuple], conj: bool) -> "Cyclotomic":
             for kb, cb in b_terms:
                 vec[(base + kb * sb) % e] += fa * cb
     return _canonical(e, vec, den)
+
+
+def _accumulate_rational(terms: List[Tuple]) -> "Cyclotomic":
+    """``_accumulate`` when every value is rational, where conj is the
+    identity: sum of q * a * b as one integer over one common denominator."""
+    num, den = 0, 1
+    for q, a, b in terms:
+        x = a.coeffs[0]
+        n, d = q.numerator * x.numerator, q.denominator * x.denominator
+        if b is not None:
+            y = b.coeffs[0]
+            n, d = n * y.numerator, d * y.denominator
+        if not n:
+            continue
+        if den % d:
+            scale = d // gcd(den, d)
+            num, den = num * scale, den * scale
+        num += n * (den // d)
+    return Cyclotomic(1, (Fraction(num, den),))
 
 
 class Cyclotomic:

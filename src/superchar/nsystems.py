@@ -9,12 +9,19 @@ the Uchida-van-der-Waall inequality machine-checkable statements.
 An NSystem is one coefficient vector coeffs[X] = n(G, sigma_X)/sigma_X(1),
 computed once; Theta_G = sum_X coeffs[X] sigma_X, n(H, sigma_Y) and the
 Artin-Takagi check all read it.
+
+Values that do not depend on the base are computed once per family and
+cached on it: the restriction matrices, the superinductions of every
+supercharacter and certificate term, and the Artin-Takagi norms.  Each
+NSystem computes its row of n(H, sigma_Y) once per subgroup.  Every
+identity is still checked on every query against these values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chartab import (
@@ -42,13 +49,13 @@ from .theories import (
 )
 
 
-def _sigma_degree(sigma: ClassFunction) -> Fraction:
+def _sigma_degree(sigma: ClassFunction) -> int:
     d = sigma.degree_value.as_rational()
-    assert d is not None and d > 0
-    return d
+    assert d is not None and d.denominator == 1 and d > 0
+    return d.numerator
 
 
-def _restriction_matrix(family: CompatibleFamily, sub: Subgroup) -> Tuple[Tuple[Fraction, ...], ...]:
+def _restriction_matrix(family: CompatibleFamily, sub: Subgroup) -> Tuple[Tuple[int, ...], ...]:
     """R[X][Y] = <sigma_X|_H, sigma_Y>_H for top blocks X, subgroup blocks Y.
 
     Both arguments are characters, so every entry is a nonnegative integer.
@@ -65,7 +72,7 @@ def _restriction_matrix(family: CompatibleFamily, sub: Subgroup) -> Tuple[Tuple[
             for tau in sub_theory.sigmas:
                 v = inner_product(sigma_h, tau).as_rational()
                 assert v is not None and v.denominator == 1 and v >= 0
-                row.append(v)
+                row.append(v.numerator)
             rows.append(tuple(row))
         family._cache[key] = tuple(rows)
     return family._cache[key]
@@ -92,10 +99,15 @@ class NSystem:
             )
         self.family = family
         self.base = tuple(int(b) for b in base)
-        self.coeffs = tuple(Fraction(b) / _sigma_degree(s) for b, s in zip(self.base, top.sigmas))
+        # coeffs[X] = base[X]/sigma_X(1) = numerators[X]/den over one den
+        degrees = [_sigma_degree(s) for s in top.sigmas]
+        self._den = lcm(*degrees)
+        self._numerators = tuple(b * (self._den // d) for b, d in zip(self.base, degrees))
+        self.coeffs = tuple(Fraction(b, d) for b, d in zip(self.base, degrees))
         # the derived top function must itself be a superclass function
         self.theta_top = SuperclassFunction(top, linear_combination(self.coeffs, top.sigmas))
         self._theta_restrictions: Dict[Tuple[int, ...], SuperclassFunction] = {}
+        self._n_rows: Dict[Tuple[int, ...], Tuple[Fraction, ...]] = {}
         self._ach3_report: Optional["CheckReport"] = None
 
     # -- the extension rule -------------------------------------------------
@@ -125,7 +137,10 @@ class NSystem:
             raise NotASuperclassFunction(
                 "argument is not a superclass function of the subgroup's theory"
             )
-        sind = superinduce(phi, self.family.top_theory, sub.elements)
+        return self._n_value(sub, phi, superinduce(phi, self.family.top_theory, sub.elements))
+
+    def _n_value(self, sub: Subgroup, phi: SuperclassFunction, sind: SuperclassFunction) -> Fraction:
+        """n_value with Sind phi given, as cached by the caller."""
         via_top = inner_product(self.theta_top.fn, sind.fn)
         via_restriction = inner_product(self._theta_restricted(sub).fn, phi.fn)
         assert via_top == via_restriction, "Super Frobenius Reciprocity violated"
@@ -134,10 +149,23 @@ class NSystem:
             raise SupercharError("n-value is not rational")
         return v
 
+    def _n_row(self, sub: Subgroup) -> Tuple[Fraction, ...]:
+        """n(H, sigma_Y) = sum_X coeffs[X] R[X][Y] for every block Y of H,
+        summed in integers over the common denominator; cached."""
+        row = self._n_rows.get(sub.elements)
+        if row is None:
+            rmat = _restriction_matrix(self.family, sub)
+            nums = self._numerators
+            row = tuple(
+                Fraction(sum(n * r[y] for n, r in zip(nums, rmat)), self._den)
+                for y in range(len(rmat[0]))
+            )
+            self._n_rows[sub.elements] = row
+        return row
+
     def n_sigma(self, sub: Subgroup, y: int) -> Fraction:
         """n(H, sigma_Y) through the cached restriction matrix."""
-        rmat = _restriction_matrix(self.family, sub)
-        return sum((c * rmat[x][y] for x, c in enumerate(self.coeffs)), Fraction(0))
+        return self._n_row(sub)[y]
 
     # -- derived supercharacters ---------------------------------------------
 
@@ -149,8 +177,7 @@ class NSystem:
         """
         theory = self.family.theory_for(sub)
         coeffs = []
-        for y, sigma in enumerate(theory.sigmas):
-            n_def = self.n_sigma(sub, y)
+        for y, (sigma, n_def) in enumerate(zip(theory.sigmas, self._n_row(sub))):
             n_alt = inner_product(
                 self.theta_top.fn, _sind_sigma(self.family, sub, y).fn
             ).as_rational()
@@ -194,11 +221,9 @@ def check_ach3(ns: NSystem) -> CheckReport:
     violations: List[dict] = []
     warnings: List[dict] = []
     for sub in ns.family.subgroups:
-        theory = ns.family.theory_for(sub)
-        for y, sigma in enumerate(theory.sigmas):
+        for y, n in enumerate(ns._n_row(sub)):
             if not _has_linear_constituents(ns.family, sub, y):
                 continue
-            n = ns.n_sigma(sub, y)
             if n.denominator != 1:
                 warnings.append(
                     {"subgroup": list(sub.elements), "block": f"X{y}", "n": str(n)}
@@ -213,17 +238,25 @@ def check_ach3(ns: NSystem) -> CheckReport:
     return ns._ach3_report
 
 
+def _artin_takagi_data(family: CompatibleFamily) -> Tuple[SuperclassFunction, Tuple[Fraction, ...]]:
+    """The regular superclass function and every <sigma_X, sigma_X>;
+    base-independent, so cached on the family."""
+    key = ("artin_takagi",)
+    if key not in family._cache:
+        top = family.top_theory
+        reg = SuperclassFunction(top, regular_character(top.classes))
+        norms = tuple(inner_product(s, s).as_rational() for s in top.sigmas)
+        family._cache[key] = (reg, norms)
+    return family._cache[key]
+
+
 def verify_artin_takagi(ns: NSystem) -> CheckReport:
     """n(G, Reg) = sum_X n(G, sigma_X)
                  = sum_X n(G, sigma_X)/sigma_X(1) * <sigma_X, sigma_X>."""
-    top = ns.family.top_theory
-    reg = SuperclassFunction(top, regular_character(top.classes))
+    reg, norms = _artin_takagi_data(ns.family)
     n_reg = ns.n_top(reg)
     base_sum = Fraction(sum(ns.base))
-    weighted = sum(
-        (c * inner_product(s, s).as_rational() for c, s in zip(ns.coeffs, top.sigmas)),
-        Fraction(0),
-    )
+    weighted = sum((c * v for c, v in zip(ns.coeffs, norms)), Fraction(0))
     ok = n_reg == base_sum == weighted
     return CheckReport(
         "artin-takagi",
@@ -304,7 +337,7 @@ def _certificate_data(family: CompatibleFamily, cert: DecompositionCertificate) 
         raise InvalidCertificate(
             "certificate identity Sind 1_H = 1_G + sum Sind sigma_i fails"
         )
-    data = {"sind_one": sind_one, "terms": term_data}
+    data = {"one_h": one_h, "sind_one": sind_one, "terms": term_data}
     family._cache[key] = data
     return data
 
@@ -322,9 +355,9 @@ def verify_uvdw(ns: NSystem, cert: DecompositionCertificate) -> CheckReport:
     term_top = [ns.n_top(t["sind"]) for t in data["terms"]]
     eq1_ok = n_sind_one == n_one_g + sum(term_top, Fraction(0))
 
-    h_theory = family.theory_for(cert.subgroup)
-    n_one_h = ns.n_value(cert.subgroup, h_theory.trivial_superclass_function())
-    term_sub = [ns.n_value(t["subgroup"], t["phi"]) for t in data["terms"]]
+    # the certificate's superinductions, reused: reciprocity is still asserted
+    n_one_h = ns._n_value(cert.subgroup, data["one_h"], data["sind_one"])
+    term_sub = [ns._n_value(t["subgroup"], t["phi"], t["sind"]) for t in data["terms"]]
     eq2_ok = n_one_h == n_one_g + sum(term_sub, Fraction(0))
 
     ach3 = check_ach3(ns)

@@ -239,3 +239,43 @@ def test_kernel_matches_polynomial_oracle(terms):
         fa, fb = (oracles.embed(E2, v.order, v.coeffs) for v in (a, b))
         _check_against_oracle(a * b, E2, oracles.field_mul(E2, fa, fb))
         _check_against_oracle(a + b, E2, [x + y for x, y in zip(fa, fb)])
+
+
+rational_weights = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-4, max_value=4, max_denominator=6)
+)
+rational_values = st.fractions(min_value=-6, max_value=6, max_denominator=8).map(
+    Cyclotomic.rational
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(rational_weights, rational_values, rational_values), max_size=6))
+def test_all_rational_kernel_path(terms):
+    """Order-1 sums take the kernel's integer path; it must agree with
+    the same sum taken over Fraction, in canonical form."""
+    weights = [q for q, _, _ in terms]
+    xs = [a for _, a, _ in terms]
+    ys = [b for _, _, b in terms]
+    plain = sum((Fraction(q) * a.coeffs[0] for q, a in zip(weights, xs)), Fraction(0))
+    dot = sum(
+        (Fraction(q) * a.coeffs[0] * b.coeffs[0] for q, a, b in zip(weights, xs, ys)),
+        Fraction(0),
+    )
+    for got, want in (
+        (cyclo_sum(xs, weights), plain),
+        (cyclo_sum(xs, weights, ys), dot),
+        (cyclo_sum(xs), sum((a.coeffs[0] for a in xs), Fraction(0))),
+    ):
+        expected = Cyclotomic.rational(want)
+        assert (got.order, got.coeffs) == (expected.order, expected.coeffs)
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def test_all_rational_kernel_path_empty_and_zero_weights():
+    assert cyclo_sum([]).coeffs == (Fraction(0),)
+    assert cyclo_sum([], [], []).coeffs == (Fraction(0),)
+    half = Cyclotomic.rational(Fraction(1, 2))
+    got = cyclo_sum([half, half], [0, Fraction(0)], [half, half])
+    assert (got.order, got.coeffs) == (1, (Fraction(0),))
+    assert type(got.coeffs[0]) is Fraction

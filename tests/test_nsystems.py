@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -264,3 +265,83 @@ def test_certificate_candidates_are_induced_once_per_family(monkeypatch):
         for sub in fam.subgroups:
             assert find_uvdw_certificate(fam, sub).certificate is not None
     assert len(calls) == linear  # one induction per nontrivial linear character
+
+
+# Three fixed bases per family; the last has a negative entry, so that the
+# ach3 violation branch and the conditional uvdw inequality both run.
+REPORT_BASES = {
+    ("s4", "classical"): ([1, 1, 1, 1, 1], [3, 0, 2, 1, 4], [2, -1, 0, 3, 1]),
+    ("d6", "classical"): ([1] * 6, [1, 0, 2, 1, 3, 0], [0, 2, -3, 1, 0, 1]),
+    ("q16", "classical"): ([1] * 7, [2, 1, 0, 3, 1, 0, 2], [1, 0, -2, 0, 1, 3, 0]),
+    ("s4", "maximal"): ([1, 1], [4, 2], [3, -1]),
+}
+
+
+def test_pinned_verifier_reports():
+    """One sha256 over the canonical JSON of every verifier report: the
+    Artin-Takagi, ach3, Heilbronn-Stark (every subgroup) and uvdw (every
+    certificate found) reports for the bases above, recorded before the
+    base-independent values were cached."""
+    listing = []
+    for (spec, kind), bases in REPORT_BASES.items():
+        fam = make_family(builtin_group(spec), kind)
+        certs = []
+        if kind == "classical":
+            searches = (find_uvdw_certificate(fam, sub) for sub in fam.subgroups)
+            certs = [s.certificate for s in searches if s.certificate is not None]
+        for base in bases:
+            ns = NSystem(fam, base)
+            reports = [verify_artin_takagi(ns), check_ach3(ns)]
+            reports += [verify_heilbronn_stark(ns, sub) for sub in fam.subgroups]
+            reports += [verify_uvdw(ns, cert) for cert in certs]
+            listing.append([spec, kind, base, [asdict(r) for r in reports]])
+    flat = [r for *_, reports in listing for r in reports]
+    assert any(r["name"] == "ach3" and not r["ok"] for r in flat)
+    assert any(r["name"] == "uvdw" and not r["details"]["ach3_passes"] for r in flat)
+    assert all(r["ok"] for r in flat if r["name"] != "ach3")
+    digest = hashlib.sha256(fileio.canonical_json(listing).encode()).hexdigest()
+    assert (len(flat), digest) == (
+        456,
+        "7084670225f79721a641afb9014057210f829983f0eeeabe92810941070ebd7f",
+    )
+
+
+def test_uvdw_checks_reciprocity_on_cached_superinductions():
+    """verify_uvdw reuses the certificate's cached superinductions; a wrong
+    one must still trip the reciprocity assert."""
+    fam = make_family(builtin_group("s4"), "classical")
+    ns = NSystem(fam, [1, 2, 3, 4, 5])
+    cert = next(
+        c
+        for c in (find_uvdw_certificate(fam, sub).certificate for sub in fam.subgroups)
+        if c is not None and c.terms
+    )
+    assert verify_uvdw(ns, cert).ok
+    data = nsystems._certificate_data(fam, cert)
+    term = data["terms"][0]
+    right = term["sind"]
+    wrong = right.theory.superclass_function([2 * v for v in right.block_values()])
+    assert ns.n_top(wrong) != ns.n_top(right)
+    term["sind"] = wrong
+    try:
+        with pytest.raises(AssertionError, match="Super Frobenius Reciprocity violated"):
+            verify_uvdw(ns, cert)
+    finally:
+        term["sind"] = right
+
+
+@pytest.mark.parametrize("spec", ["s4", "d6", "q16"])
+def test_n_sigma_rows_match_fraction_sums(spec):
+    """n(H, sigma_Y) from the integer rows equals sum_X coeffs[X] R[X][Y]
+    summed directly in Fractions, over random signed bases."""
+    fam = make_family(builtin_group(spec), "classical")
+    rng = random.Random(f"rows/{spec}")
+    for _ in range(3):
+        ns = NSystem(fam, _rand_base(fam.top_theory.n_blocks, rng))
+        for sub in fam.subgroups:
+            rmat = nsystems._restriction_matrix(fam, sub)
+            for y in range(fam.theory_for(sub).n_blocks):
+                want = sum(
+                    (c * Fraction(rmat[x][y]) for x, c in enumerate(ns.coeffs)), Fraction(0)
+                )
+                assert ns.n_sigma(sub, y) == want
