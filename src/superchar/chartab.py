@@ -7,7 +7,8 @@ lifted to exact cyclotomic numbers by counting eigenvalue multiplicities
 through power maps.
 
 Every sum of class functions is one ``linear_combination``: one
-``cyclo_sum`` per class, the kernel inner products and induction use.
+``cyclo_sum`` per class, as is an inner product.  Restriction and induction
+from H <= G read one map, ``class_fusion``; induction is one per class of G.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def inner_product(f: ClassFunction, h: ClassFunction) -> Cyclotomic:
     """Hermitian inner product (1/|G|) sum_g f(g) conj(h(g)), classwise."""
     if f.classes != h.classes:
         raise GroupMismatch("inner product requires class functions on one group")
-    return cyclo_sum(f.values, f.classes.sizes, h.values) * Fraction(1, f.group.order)
+    return cyclo_sum(f.values, f.classes.weights, h.values)
 
 
 # -- class multiplication coefficients --------------------------------------
@@ -383,12 +384,17 @@ def verify_orthogonality(table: CharacterTable) -> OrthogonalityReport:
 # -- restriction, induction, decomposition -----------------------------------
 
 
+def class_fusion(classes: ConjugacyClasses, into: ConjugacyClasses, embedding: Sequence[int]) -> List[int]:
+    """The class of ``into`` that holds each class of ``classes``, whose
+    group ``embedding`` maps into the group of ``into``.  Conjugates in the
+    subgroup are conjugate in the group, so one representative decides."""
+    return [into.class_of[embedding[g]] for g in classes.representatives]
+
+
 def pull_back(f: ClassFunction, classes: ConjugacyClasses, embedding: Sequence[int]) -> ClassFunction:
     """f composed with ``embedding``, a map from the elements of the group
-    of ``classes`` into f's group, read at each class representative."""
-    return ClassFunction(
-        classes, tuple(f.at_element(embedding[g]) for g in classes.representatives)
-    )
+    of ``classes`` into f's group, read through the class fusion."""
+    return ClassFunction(classes, tuple(f.values[c] for c in class_fusion(classes, f.classes, embedding)))
 
 
 def restrict(f: ClassFunction, H: Subgroup) -> ClassFunction:
@@ -398,18 +404,31 @@ def restrict(f: ClassFunction, H: Subgroup) -> ClassFunction:
     return pull_back(f, conjugacy_classes(H.local), H.elements)
 
 
+def induce_to_blocks(
+    f: ClassFunction, into: ConjugacyClasses, embedding: Sequence[int], blocks: Sequence[Sequence[int]]
+) -> Tuple[Cyclotomic, ...]:
+    """|G| / (|H| |B|) * sum over B intersect H of f, for f on H, ``embedding``
+    from H into G and each block B of classes of ``into`` (|B| elements): one
+    ``cyclo_sum`` over the classes c of H fusing into B, weights |G| |c| / (|H| |B|)."""
+    block_of = {c: b for b, block in enumerate(blocks) for c in block}
+    fused: List[List[int]] = [[] for _ in blocks]
+    for c, target in enumerate(class_fusion(f.classes, into, embedding)):
+        fused[block_of[target]].append(c)
+    scale = Fraction(into.group.order, f.group.order)
+    values = []
+    for block, cs in zip(blocks, fused):
+        size = sum(into.sizes[c] for c in block)
+        values.append(cyclo_sum([f.values[c] for c in cs], [scale * f.classes.sizes[c] / size for c in cs]))
+    return tuple(values)
+
+
 def induce(f: ClassFunction, H: Subgroup) -> ClassFunction:
     """Classical induction from H to its parent, classwise:
     Ind f(g) = |G| / (|H| |Cl(g)|) * sum over Cl(g) intersect H of f."""
     if f.group != H.local:
         raise NotASubgroup("function does not live on the subgroup")
-    G = H.parent
-    gcls = conjugacy_classes(G)
-    values = []
-    for c in gcls.classes:
-        acc = cyclo_sum(f.at_element(H.to_local(x)) for x in c if H.contains(x))
-        values.append(acc * Fraction(G.order, H.order * len(c)))
-    return ClassFunction(gcls, tuple(values))
+    gcls = conjugacy_classes(H.parent)
+    return ClassFunction(gcls, induce_to_blocks(f, gcls, H.elements, [(c,) for c in range(len(gcls))]))
 
 
 def decompose(f: ClassFunction, table: CharacterTable) -> Tuple[Cyclotomic, ...]:

@@ -32,16 +32,6 @@ from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Tuple
 
 
-@lru_cache(maxsize=None)
-def euler_phi(e: int) -> int:
-    if e < 1:
-        raise ValueError("order must be positive")
-    result = e
-    for p, _ in _prime_powers(e):
-        result -= result // p
-    return result
-
-
 def divisors(e: int) -> List[int]:
     small, large = [], []
     d = 1

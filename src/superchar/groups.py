@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -217,6 +218,11 @@ class ConjugacyClasses:
     def representatives(self) -> Tuple[int, ...]:
         return tuple(c[0] for c in self.classes)
 
+    @cached_property
+    def weights(self) -> Tuple[Fraction, ...]:
+        """|c| / |G| for each class c: the weights of an inner product."""
+        return tuple(Fraction(s, self.group.order) for s in self.sizes)
+
     def __len__(self):
         return len(self.classes)
 
@@ -244,13 +250,6 @@ def conjugacy_classes(G: FiniteGroup) -> ConjugacyClasses:
     return result
 
 
-def centralizer_order(G: FiniteGroup, g: int) -> int:
-    count = sum(1 for h in range(G.order) if G.mul[h][g] == G.mul[g][h])
-    cls = conjugacy_classes(G)
-    assert count * cls.sizes[cls.class_of[g]] == G.order
-    return count
-
-
 class Subgroup:
     """A subgroup given by its (sorted) parent element set, carrying the
     induced group on those elements with 0-based local indexing."""
@@ -272,9 +271,6 @@ class Subgroup:
 
     def to_local(self, g: int) -> int:
         return self._to_local[g]
-
-    def contains(self, g: int) -> bool:
-        return g in self._to_local
 
     @property
     def element_set(self) -> FrozenSet[int]:
@@ -377,11 +373,7 @@ def subgroup_within(inner: Subgroup, outer: Subgroup) -> Tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_subgroups(
-    G: FiniteGroup,
-    cap: int = DEFAULT_SUBGROUP_CAP,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> Tuple[Subgroup, ...]:
+def enumerate_subgroups(G: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> Tuple[Subgroup, ...]:
     """All subgroups of G, by layered generator addition.
 
     Seeds with the cyclic subgroups and repeatedly extends each known
@@ -397,7 +389,7 @@ def enumerate_subgroups(
         )
     found: Dict[FrozenSet[int], Tuple[int, ...]] = {}
     for g in range(G.order):
-        found.setdefault(closure(G, [g], cap), (g,))
+        found.setdefault(closure(G, [g]), (g,))
     layer = dict(found)
     while layer:
         nxt: Dict[FrozenSet[int], Tuple[int, ...]] = {}
@@ -408,10 +400,10 @@ def enumerate_subgroups(
                 if g in covered:
                     continue
                 covered.update(G.mul[h][g] for h in s)
-                t = closure(G, gens + (g,), cap)
+                t = closure(G, gens + (g,))
                 if t not in found:
-                    if len(found) >= cap:
-                        raise OrderCapExceeded(f"subgroup count exceeded cap {cap}")
+                    if len(found) >= DEFAULT_SUBGROUP_CAP:
+                        raise OrderCapExceeded(f"subgroup count exceeded cap {DEFAULT_SUBGROUP_CAP}")
                     found[t] = nxt[t] = gens + (g,)
         layer = nxt
     sets = sorted(found, key=lambda s: (len(s), sorted(s)))

@@ -5,7 +5,8 @@ the group elements) such that {1} is a K-block, both partitions have the
 same number of blocks, and every sigma_X = sum over X of psi(1) psi is
 constant on every K-block.  Theories are enumerated from the class
 multiplication constants; compatible theories on a subgroup chain
-support superinduction and restriction of superclass functions.
+support superinduction and restriction of superclass functions, which
+read the subgroup's class fusion (``chartab.class_fusion``) as induction does.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional
 from .chartab import (
     CharacterTable,
     ClassFunction,
+    class_fusion,
     class_mult_coeffs,
     dixon_character_table,
+    induce_to_blocks,
     linear_combination,
     pull_back,
 )
@@ -345,14 +348,17 @@ def is_compatible(
 ) -> Tuple[bool, Optional[int]]:
     """Check SCl_H(h) subset of SCl_G(h) for all h; witness on failure.
 
-    One pass per subgroup superclass; the witness is the smallest element
-    of one whose image meets two superclasses of G.  ``embedding`` maps
-    local element indices of the subgroup into the big theory's group.
+    A subgroup superclass is compatible when its classes fuse into one
+    superclass of G (``class_fusion``); the witness is the smallest
+    element of a superclass that is not.  ``embedding`` maps local
+    element indices of the subgroup into the big theory's group.
     """
     if len(embedding) != sub_theory.group.order:
         raise NotASubgroup("embedding length does not match subgroup order")
-    big = big_theory.superclass_of
-    bad = [b[0] for b in sub_theory.element_blocks if len({big(embedding[x]) for x in b}) > 1]
+    fusion = class_fusion(sub_theory.classes, big_theory.classes, embedding)
+    big = big_theory._superclass_index
+    blocks = zip(sub_theory.class_blocks, sub_theory.element_blocks)
+    bad = [elements[0] for cs, elements in blocks if len({big[fusion[c]] for c in cs}) > 1]
     return (False, min(bad)) if bad else (True, None)
 
 
@@ -373,16 +379,8 @@ def superinduce(
     where phi^0 vanishes outside H.
     """
     _require_compatible(phi.theory, big_theory, embedding)
-    G = big_theory.group
-    h_order = len(embedding)
-    local_of = {g: i for i, g in enumerate(embedding)}
-    block_values = []
-    for block in big_theory.element_blocks:
-        acc = cyclo_sum(
-            phi.fn.at_element(local_of[x]) for x in block if x in local_of
-        )
-        block_values.append(acc * Fraction(G.order, h_order * len(block)))
-    return big_theory.superclass_function(block_values)
+    values = induce_to_blocks(phi.fn, big_theory.classes, embedding, big_theory.class_blocks)
+    return big_theory.superclass_function(values)
 
 
 def srestrict(

@@ -122,6 +122,23 @@ def conjugacy_partition(mul):
     return classes
 
 
+def centralizer_order(mul, g):
+    """|C_G(g)|, by testing every h against g in the table."""
+    return sum(1 for h in range(len(mul)) if mul[h][g] == mul[g][h])
+
+
+def fused_classes(h_mul, g_mul, embedding):
+    """For each conjugacy class of H (from ``h_mul``), the set of classes
+    of G (from ``g_mul``) that its elements land in under ``embedding``,
+    element by element; each set has one member when conjugates in H stay
+    conjugate in G.  Returns {H-class: set of G-classes}, classes as
+    sorted tuples of elements."""
+    g_class = {g: c for c in conjugacy_partition(g_mul) for g in c}
+    return {
+        c: {g_class[embedding[x]] for x in c} for c in conjugacy_partition(h_mul)
+    }
+
+
 def element_sum_induction(mul, h_elements, f_on_h):
     """Ind f(g) = (1/|H|) sum over x in G of f0(x g x^-1), per element.
 

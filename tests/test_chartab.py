@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import degree_multisets, element_sum_induction
+from oracles import conjugacy_partition, degree_multisets, element_sum_induction, fused_classes
 from superchar import (
     Cyclotomic,
     GroupMismatch,
     NotACharacter,
     builtin_group,
     character_multiplicities,
+    conjugacy_classes,
     decompose,
     dixon_character_table,
     enumerate_subgroups,
@@ -25,8 +26,8 @@ from superchar import (
     trivial_character,
     verify_orthogonality,
 )
-from superchar.chartab import ClassFunction
-from superchar.cyclo import zeta
+from superchar.chartab import ClassFunction, class_fusion, pull_back
+from superchar.cyclo import cyclo_sum, zeta
 from superchar.errors import PrimeRejected
 from superchar.fileio import table_fingerprint
 
@@ -207,6 +208,46 @@ def test_linear_combination_matches_per_class_arithmetic(spec, data):
         for q, f in zip(coeffs, fns):
             want = want + f.values[ci] * q
         assert got.values[ci] == want
+
+
+def _draw_class_function(table, data):
+    """A rational combination of rows times a root of unity of the group's
+    exponent, so that values and inner products can be irrational."""
+    picks = data.draw(st.lists(st.sampled_from(range(len(table.rows))), min_size=1, max_size=3))
+    coeffs = data.draw(st.lists(coefficients, min_size=len(picks), max_size=len(picks)))
+    z = zeta(table.group.exponent, data.draw(st.integers(0, table.group.exponent - 1)))
+    f = linear_combination(coeffs, [table.rows[i] for i in picks])
+    return ClassFunction(table.classes, tuple(v * z for v in f.values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(["c5", "a5", "q16"]), data=st.data())
+def test_inner_product_is_the_size_weighted_sum_over_the_order(spec, data):
+    table = _table(spec)
+    f, h = _draw_class_function(table, data), _draw_class_function(table, data)
+    want = cyclo_sum(f.values, table.classes.sizes, h.values) * Fraction(1, table.group.order)
+    got = inner_product(f, h)
+    assert (got.order, got.coeffs) == (want.order, want.coeffs)
+
+
+def test_class_fusion_matches_per_element_oracle():
+    for spec in ("s4", "a5", "d6", "q16"):
+        G = builtin_group(spec)
+        gcls = conjugacy_classes(G)
+        rng = random.Random(spec)
+        g_values = {c: rng.randint(-9, 9) for c in conjugacy_partition(G.mul)}
+        f_on_g = {g: v for c, v in g_values.items() for g in c}
+        f = ClassFunction(gcls, tuple(Cyclotomic.rational(f_on_g[g]) for g in gcls.representatives))
+        for H in enumerate_subgroups(G):
+            hcls = conjugacy_classes(H.local)
+            fused = fused_classes(H.local.mul, G.mul, H.elements)
+            assert sorted(fused) == sorted(hcls.classes)
+            for c, target in zip(hcls.classes, class_fusion(hcls, gcls, H.elements)):
+                assert fused[c] == {gcls.classes[target]}
+            pulled = pull_back(f, hcls, H.elements)
+            assert [pulled.at_element(x) for x in range(H.order)] == [
+                Cyclotomic.rational(f_on_g[g]) for g in H.elements
+            ]
 
 
 def test_linear_combination_refuses_mismatched_inputs():

@@ -12,7 +12,6 @@ from superchar.cyclo import (
     cyclo_sum,
     cyclotomic_polynomial,
     divisors,
-    euler_phi,
     zeta,
 )
 
@@ -28,10 +27,6 @@ KNOWN_PHI = {
     9: (1, 0, 0, 1, 0, 0, 1),
     12: (1, 0, -1, 0, 1),
 }
-
-
-def test_euler_phi_small():
-    assert [euler_phi(e) for e in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
 
 def test_divisors():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    centralizer_order,
     commutator_subgroup,
     conjugacy_partition,
     inverse_table,
@@ -34,7 +35,6 @@ from superchar import (
 from superchar.errors import NotASubgroup, OrderCapExceeded
 from superchar.groups import (
     builtin_order,
-    centralizer_order,
     closure,
     derived_subgroup,
     element_order,
@@ -104,7 +104,7 @@ def test_conjugacy_classes_match_raw_oracle():
         keys = [(len(c), c[0]) for c in cls.classes]
         assert keys == sorted(keys)
         for ci, c in enumerate(cls.classes):
-            assert centralizer_order(G, c[0]) * len(c) == G.order
+            assert centralizer_order(G.mul, c[0]) * len(c) == G.order
 
 
 def test_subgroup_enumeration_oracle_s3():

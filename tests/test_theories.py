@@ -27,6 +27,7 @@ from superchar import (
     whole_subgroup,
 )
 from superchar.errors import NotASuperclassFunction, OrderCapExceeded
+from superchar.fileio import canonical_json, encode_cyclotomic
 
 
 def _rand_fn(theory, rng):
@@ -180,6 +181,35 @@ def test_is_compatible_matches_per_element_oracle():
                     pairs += 1
                     incompatible += not got[0]
     assert (pairs, incompatible) == (1707, 688)
+
+
+# sha256 of the canonical JSON of induce(chi, H) for every irreducible chi of
+# every subgroup H, and of superinduce(sigma_Y) for every Y of every
+# compatible (subgroup theory, top theory) pair on s4, d6, q16 and a4, as
+# computed by the per-element induce and superinduce the class fusion replaced
+INDUCTION_PIN = (218, 5002, "5c40cf0f3c200ed115d99e964336fde755823da4271d69bd2241844b5082161b")
+
+
+def test_induce_and_superinduce_match_pin():
+    out, n_induced, n_superinduced = {}, 0, 0
+    for spec in ("s4", "d6", "q16", "a4"):
+        G = builtin_group(spec)
+        tops = enumerate_theories(dixon_character_table(G))
+        induced, superinduced = [], []
+        for H in enumerate_subgroups(G):
+            table = dixon_character_table(H.local)
+            induced.append([[encode_cyclotomic(v) for v in induce(row, H).values] for row in table.rows])
+            n_induced += len(table.rows)
+            for i, sub in enumerate(enumerate_theories(table)):
+                for j, top in enumerate(tops):
+                    if not is_compatible(sub, top, H.elements)[0]:
+                        continue
+                    sinds = [superinduce(sub.sigma_function(y), top, H.elements) for y in range(sub.n_blocks)]
+                    superinduced.append([i, j, [[encode_cyclotomic(v) for v in s.block_values()] for s in sinds]])
+                    n_superinduced += sub.n_blocks
+        out[spec] = {"induce": induced, "superinduce": superinduced}
+    digest = hashlib.sha256(canonical_json(out).encode()).hexdigest()
+    assert (n_induced, n_superinduced, digest) == INDUCTION_PIN
 
 
 def test_compatibility_and_witness():
